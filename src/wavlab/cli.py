@@ -7,8 +7,9 @@ the counter-based scheme in :mod:`wavlab.rng`, results land in
 ``<out>/<run_id>/`` where ``run_id`` hashes the resolved config and seed, and
 all CSVs are byte-stable across reruns except for wall-time columns.
 
-Configs are JSON with strict validation: unknown keys are rejected and every
-omitted key takes the documented default.
+Configs are JSON with strict validation: unknown keys and values whose JSON
+type does not match the field's annotation are rejected, and every omitted
+key takes the documented default.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import shutil
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,27 +68,37 @@ LOW_TRIALS = 1000
 # ---------------------------------------------------------------------------
 
 
+# JSON value types each config annotation accepts (floats take integers too).
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), tuple: (list, tuple)}
+
+
+def _checked_value(value, hint, where: str):
+    """``value`` if it fits the annotation ``hint``; sections are built recursively."""
+    if dataclasses.is_dataclass(hint):
+        return _from_dict(hint, value, where)
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        if value is None:
+            return value
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if type(value) not in _JSON_TYPES[hint]:
+        expected = "list" if hint is tuple else hint.__name__
+        raise ConfigError(f"{where}: expected {expected}, got {type(value).__name__} {value!r}")
+    return tuple(value) if hint is tuple else value
+
+
 def _from_dict(cls, obj, where: str):
-    """Build a dataclass from a JSON object, rejecting unknown keys."""
+    """Build a dataclass from a JSON object, rejecting unknown keys and wrong types."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(obj) - set(known))
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(obj) - set(hints))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}; known: {sorted(known)}")
-    kwargs = {}
-    for name, f in known.items():
-        if name not in obj:
-            continue
-        value = obj[name]
-        if dataclasses.is_dataclass(f.type) or f.type in _SECTION_TYPES:
-            section = _SECTION_TYPES.get(f.type, f.type)
-            value = _from_dict(section, value, f"{where}.{name}")
-        kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as err:
-        raise ConfigError(f"{where}: {err}") from err
+        raise ConfigError(f"{where}: unknown keys {unknown}; known: {sorted(hints)}")
+    kwargs = {
+        name: _checked_value(value, hints[name], f"{where}.{name}")
+        for name, value in obj.items()
+    }
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -224,15 +236,6 @@ class TlcmConfig:
     n_eval: int = 1000
     variants: tuple = ("base", "aliasing", "back-action")
 
-
-_SECTION_TYPES = {
-    "EnvSection": EnvSection,
-    "SplitSection": SplitSection,
-    "HyperSection": HyperSection,
-    "LemmaSection": LemmaSection,
-    "GapSection": GapSection,
-    "SweepSection": SweepSection,
-}
 
 _COMMAND_CONFIGS = {
     "gen-data": GenDataConfig,

@@ -442,6 +442,9 @@ class Encoder:
         self.n_features = offset
         self._group_by_name = {g.name: g for g in groups}
         self._n_cells = len(self.cells)
+        self.group_starts = np.asarray([g.start for g in groups], dtype=np.intp)
+        self.group_sizes = np.asarray([g.size for g in groups], dtype=np.intp)
+        self.run_slices = self._run_slices()
 
     @property
     def n_groups(self) -> int:
@@ -450,17 +453,19 @@ class Encoder:
     def group(self, name: tuple) -> Group:
         return self._group_by_name[name]
 
-    def group_runs(self) -> list[tuple[int, int, int]]:
-        """Maximal runs of consecutive equal-size groups as (start_group, count, size)."""
+    def _run_slices(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(feature_start, feature_stop, group_count, group_size) per maximal
+        run of consecutive equal-size groups."""
         runs = []
         i = 0
         while i < len(self.groups):
             j = i
             while j + 1 < len(self.groups) and self.groups[j + 1].size == self.groups[i].size:
                 j += 1
-            runs.append((i, j - i + 1, self.groups[i].size))
+            start, size = self.groups[i].start, self.groups[i].size
+            runs.append((start, start + (j - i + 1) * size, j - i + 1, size))
             i = j + 1
-        return runs
+        return tuple(runs)
 
     def agent_feature_indices(self) -> np.ndarray:
         """Indices of the agent-centric groups (position, direction, hands)."""
@@ -545,12 +550,21 @@ class Encoder:
 
     # -- decoding ----------------------------------------------------------
 
-    def group_argmax(self, vec: np.ndarray) -> np.ndarray:
-        """Per-group argmax class indices (ties to the lowest index)."""
-        out = np.empty(len(self.groups), dtype=np.intp)
-        for i, g in enumerate(self.groups):
-            out[i] = int(np.argmax(vec[g.start:g.stop]))
-        return out
+    def group_argmax(self, feats: np.ndarray) -> np.ndarray:
+        """Per-group argmax class indices (ties to the lowest index).
+
+        A feature vector gives shape (n_groups,); a batch of rows gives
+        (n, n_groups).
+        """
+        feats = np.asarray(feats)
+        rows = np.atleast_2d(feats)
+        n = rows.shape[0]
+        out = np.empty((n, self.n_groups), dtype=np.intp)
+        col = 0
+        for start, stop, count, size in self.run_slices:
+            out[:, col : col + count] = rows[:, start:stop].reshape(n, count, size).argmax(axis=2)
+            col += count
+        return out if feats.ndim == 2 else out[0]
 
     @staticmethod
     def _obj_from_classes(kind_cls: int, color_cls: int, ck_cls: int, cc_cls: int):
@@ -597,10 +611,27 @@ class Encoder:
         )
 
     def decode(self, vec: np.ndarray) -> GridState:
-        classes = self.group_argmax(np.asarray(vec, dtype=np.float64))
-        return self.decode_classes(classes)
+        return self.decode_classes(self.group_argmax(vec).tolist())
 
-    def decode_indices(self, active: list[int]) -> GridState:
-        vec = np.zeros(self.n_features, dtype=np.float64)
-        vec[np.asarray(active, dtype=np.intp)] = 1.0
-        return self.decode(vec)
+    def decode_indices(self, active) -> GridState:
+        """Decode the ascending active indices written by :meth:`active_indices`.
+
+        Raises ValueError unless there is exactly one in-range index per group.
+        """
+        idx = np.asarray(active)
+        if idx.ndim != 1 or len(idx) != self.n_groups:
+            raise ValueError(
+                f"expected {self.n_groups} active indices, one per group, got {idx.size}"
+            )
+        if idx.dtype.kind not in "iu":
+            raise ValueError("active indices must be integers")
+        classes = idx - self.group_starts
+        bad = (classes < 0) | (classes >= self.group_sizes)
+        if bad.any():
+            gi = int(np.argmax(bad))
+            g = self.groups[gi]
+            raise ValueError(
+                f"active index {int(idx[gi])} at position {gi} is outside group "
+                f"{g.name} ({g.start}..{g.stop - 1})"
+            )
+        return self.decode_classes(classes.tolist())

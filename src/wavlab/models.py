@@ -27,8 +27,10 @@ interaction features:
 
 from __future__ import annotations
 
+import base64
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -70,7 +72,7 @@ __all__ = [
 ]
 
 N_ACTIONS = len(Action)
-MODEL_SCHEMA = "wav-model/1"
+MODEL_SCHEMA = "wav-model/2"
 SPARSITY_CUTOFF = 0.05
 
 
@@ -114,15 +116,6 @@ def _batches(order: np.ndarray, size: int):
         yield order[i : i + size]
 
 
-def _run_slices(encoder: Encoder) -> list[tuple[int, int, int, int]]:
-    """(feature_start, feature_stop, group_count, group_size) per equal-size run."""
-    out = []
-    for g0, count, size in encoder.group_runs():
-        start = encoder.groups[g0].start
-        out.append((start, start + count * size, count, size))
-    return out
-
-
 def _softmax_runs(logits: np.ndarray, runs) -> np.ndarray:
     """Per-group softmax over a concatenation of one-hot groups."""
     probs = np.empty_like(logits)
@@ -134,18 +127,6 @@ def _softmax_runs(logits: np.ndarray, runs) -> np.ndarray:
         seg /= seg.sum(axis=2, keepdims=True)
         probs[:, start:stop] = seg.reshape(n, count * size)
     return probs
-
-
-def _group_classes(encoder: Encoder, feats: np.ndarray) -> np.ndarray:
-    """Per-group argmax class indices for a batch of feature rows."""
-    feats = np.atleast_2d(feats)
-    n = feats.shape[0]
-    out = np.empty((n, encoder.n_groups), dtype=np.intp)
-    col = 0
-    for start, stop, count, size in _run_slices(encoder):
-        out[:, col : col + count] = feats[:, start:stop].reshape(n, count, size).argmax(axis=2)
-        col += count
-    return out
 
 
 def _per_item_ce(probs: np.ndarray, targets: np.ndarray, n_groups: int) -> np.ndarray:
@@ -196,17 +177,13 @@ class WorldModel:
         return out
 
     def predict_proba(self, feats: np.ndarray, actions) -> np.ndarray:
-        return _softmax_runs(self.logits(feats, actions), _run_slices(self.encoder))
+        return _softmax_runs(self.logits(feats, actions), self.encoder.run_slices)
 
     def argmax_features(self, probs: np.ndarray) -> np.ndarray:
         """Per-group argmax as a one-hot feature matrix."""
         out = np.zeros_like(probs)
-        n = probs.shape[0]
-        for start, stop, count, size in _run_slices(self.encoder):
-            seg = probs[:, start:stop].reshape(n, count, size)
-            winners = seg.argmax(axis=2)
-            flat = start + np.arange(count) * size + winners
-            np.put_along_axis(out, flat, 1.0, axis=1)
+        winners = self.encoder.group_argmax(probs) + self.encoder.group_starts
+        np.put_along_axis(out, winners, 1.0, axis=1)
         return out
 
     def per_item_loss(self, feats: np.ndarray, actions, next_feats: np.ndarray) -> np.ndarray:
@@ -276,7 +253,7 @@ def train_world_model(
     W = rng.normal(0.0, hyper.init_scale, size=(1 + N_ACTIONS, S.shape[1] + 1, d_out))
     model = WorldModel(encoder=encoder, weights=W, hyper=hyper)
     X = np.concatenate([S, np.ones((len(data), 1))], axis=1)
-    runs = _run_slices(encoder)
+    runs = encoder.run_slices
     n_groups = encoder.n_groups
     by_action = [np.flatnonzero(A == a) for a in range(N_ACTIONS)]
     for _ in range(hyper.epochs):
@@ -345,8 +322,7 @@ class _PairStructure:
 
 def _pair_structure(encoder: Encoder) -> _PairStructure:
     G = len(encoder.groups)
-    starts = np.asarray([g.start for g in encoder.groups], dtype=np.intp)
-    sizes = np.asarray([g.size for g in encoder.groups], dtype=np.intp)
+    starts, sizes = encoder.group_starts, encoder.group_sizes
 
     families: dict[str, list[int]] = {}
     for gi, g in enumerate(encoder.groups):
@@ -419,8 +395,8 @@ class InverseModel:
     def inputs(self, feats: np.ndarray, next_feats: np.ndarray) -> np.ndarray:
         feats = np.atleast_2d(feats)
         next_feats = np.atleast_2d(next_feats)
-        cls_s = _group_classes(self.encoder, feats)
-        cls_s2 = _group_classes(self.encoder, next_feats)
+        cls_s = self.encoder.group_argmax(feats)
+        cls_s2 = self.encoder.group_argmax(next_feats)
         return _idm_inputs(self.mask, feats, next_feats, cls_s, cls_s2, self._pairs)
 
     def predict_proba(self, feats: np.ndarray, next_feats: np.ndarray) -> np.ndarray:
@@ -556,8 +532,8 @@ def train_idm(
     A = np.fromiter((int(t.action) for t in data), dtype=np.intp, count=len(data))
     T = np.zeros((len(data), N_ACTIONS))
     T[np.arange(len(data)), A] = 1.0
-    CS = _group_classes(encoder, S)
-    CS2 = _group_classes(encoder, S2)
+    CS = encoder.group_argmax(S)
+    CS2 = encoder.group_argmax(S2)
 
     d = encoder.n_features
     ps = _pair_structure(encoder)
@@ -896,15 +872,10 @@ def _encoder_meta(encoder: Encoder) -> dict:
     }
 
 
-def _hyper_meta(hyper: TrainConfig) -> dict:
-    return {
-        "learning_rate": hyper.learning_rate,
-        "batch_size": hyper.batch_size,
-        "epochs": hyper.epochs,
-        "init_scale": hyper.init_scale,
-        "gate_init": hyper.gate_init,
-        "gate_lr": hyper.gate_lr,
-    }
+def _pack(array: np.ndarray) -> dict:
+    """A float array as its shape plus base64 of its little-endian float64 bytes."""
+    raw = np.ascontiguousarray(array, dtype="<f8").tobytes()
+    return {"shape": list(array.shape), "f8": base64.b64encode(raw).decode("ascii")}
 
 
 def _model_payload(model) -> dict:
@@ -912,20 +883,18 @@ def _model_payload(model) -> dict:
         return {
             "kind": "world",
             "env": _encoder_meta(model.encoder),
-            "hyper": _hyper_meta(model.hyper),
-            "shape": list(model.weights.shape),
-            "weights": model.weights.ravel().tolist(),
+            "hyper": asdict(model.hyper),
+            "weights": _pack(model.weights),
             "loss_curve": model.loss_curve,
         }
     if isinstance(model, InverseModel):
         return {
             "kind": "idm",
             "env": _encoder_meta(model.encoder),
-            "hyper": _hyper_meta(model.hyper),
+            "hyper": asdict(model.hyper),
             "sparsity_weight": model.sparsity_weight,
-            "shape": list(model.weights.shape),
-            "weights": model.weights.ravel().tolist(),
-            "gate_logits": None if model.gate_logits is None else model.gate_logits.tolist(),
+            "weights": _pack(model.weights),
+            "gate_logits": None if model.gate_logits is None else _pack(model.gate_logits),
             "loss_curve": model.loss_curve,
         }
     if isinstance(model, Ensemble):
@@ -945,60 +914,137 @@ def _model_payload(model) -> dict:
 
 
 def save_model(model, path) -> None:
+    """Write one JSON object; float arrays are stored as base64 float64 payloads."""
     payload = {"schema": MODEL_SCHEMA}
     payload.update(_model_payload(model))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
+        fh.write(json.dumps(payload, separators=(",", ":")))
         fh.write("\n")
 
 
-def _model_from_payload(obj: dict):
+_NUMBER = (int, float)
+
+
+def _key(obj: dict, key: str, where: str, types: tuple):
+    """``obj[key]`` checked against ``types``; ``where`` prefixes the key's path."""
+    name = where + key
+    if key not in obj:
+        raise ParseError(f"missing key {name!r}")
+    value = obj[key]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ParseError(f"key {name!r}: unexpected {type(value).__name__} value")
+    return value
+
+
+def _unpack(obj: dict, key: str, where: str, want_shape: tuple) -> np.ndarray:
+    name = where + key
+    packed = _key(obj, key, where, (dict,))
+    if set(packed) != {"shape", "f8"}:
+        raise ParseError(f"key {name!r}: expected exactly 'shape' and 'f8', got {sorted(packed)}")
+    shape = packed["shape"]
+    if not isinstance(shape, list) or not all(type(k) is int and k >= 0 for k in shape):
+        raise ParseError(f"key {name!r}: shape {shape!r} is not a list of sizes")
+    try:
+        raw = base64.b64decode(packed["f8"], validate=True)
+    except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
+        raise ParseError(f"key {name!r}: bad base64 payload ({err})") from err
+    if len(raw) != 8 * math.prod(shape):
+        raise ParseError(
+            f"key {name!r}: payload has {len(raw)} bytes, shape {shape} needs "
+            f"{8 * math.prod(shape)}"
+        )
+    if tuple(shape) != want_shape:
+        raise ParseError(
+            f"key {name!r}: shape {shape} does not fit the encoder, expected {list(want_shape)}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def _hyper_from(obj: dict, where: str) -> TrainConfig:
+    hyper = _key(obj, "hyper", where, (dict,))
+    names = {f.name for f in fields(TrainConfig)}
+    unknown, missing = sorted(set(hyper) - names), sorted(names - set(hyper))
+    if unknown or missing:
+        raise ParseError(
+            f"key {where + 'hyper'!r}: unknown keys {unknown}, missing keys {missing}"
+        )
+    return TrainConfig(**hyper)
+
+
+def _loss_curve_from(obj: dict, where: str) -> list[float]:
+    curve = _key(obj, "loss_curve", where, (list,))
+    if not all(isinstance(v, _NUMBER) and not isinstance(v, bool) for v in curve):
+        raise ParseError(f"key {where + 'loss_curve'!r}: expected a list of numbers")
+    return list(curve)
+
+
+def _model_from_payload(obj, where: str = ""):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where or 'model file'}: expected an object")
     kind = obj.get("kind")
     if kind == "ensemble":
-        return Ensemble(members=[_model_from_payload(m) for m in obj["members"]])
-    env = obj["env"]
-    encoder = Encoder(env["width"], env["height"], env["floor_palette"])
+        members = _key(obj, "members", where, (list,))
+        if len(members) < 2:
+            raise ParseError(f"key {where + 'members'!r}: an ensemble needs at least 2 members")
+        return Ensemble(members=[
+            _model_from_payload(m, f"{where}members[{i}].") for i, m in enumerate(members)
+        ])
+    if kind not in ("world", "idm", "subgoal"):
+        raise ParseError(f"unknown model kind {kind!r}")
+    env = _key(obj, "env", where, (dict,))
+    try:
+        encoder = Encoder(env["width"], env["height"], env["floor_palette"])
+    except (KeyError, TypeError, ConfigError) as err:
+        raise ParseError(f"key {where + 'env'!r}: {err}") from err
     if kind == "subgoal":
         by_key: dict[tuple[int, int], dict[DeltaKind, int]] = {}
         global_counts: dict[DeltaKind, int] = {}
-        for key, delta_name, count in obj["store"]:
-            delta = DeltaKind(delta_name)
-            bucket = by_key.setdefault((key[0], key[1]), {})
-            bucket[delta] = count
-            global_counts[delta] = global_counts.get(delta, 0) + count
+        try:
+            for key, delta_name, count in _key(obj, "store", where, (list,)):
+                delta = DeltaKind(delta_name)
+                bucket = by_key.setdefault((key[0], key[1]), {})
+                bucket[delta] = count
+                global_counts[delta] = global_counts.get(delta, 0) + count
+        except (TypeError, ValueError, IndexError, KeyError) as err:
+            raise ParseError(f"key {where + 'store'!r}: {err}") from err
         return SubgoalGenerator(
             encoder=encoder,
-            smoothing=obj["smoothing"],
+            smoothing=_key(obj, "smoothing", where, _NUMBER),
             by_key=by_key,
             global_counts=global_counts,
         )
-    hyper = TrainConfig(**obj["hyper"])
-    weights = np.asarray(obj["weights"], dtype=np.float64).reshape(obj["shape"])
+    hyper = _hyper_from(obj, where)
+    d = encoder.n_features
     if kind == "world":
         return WorldModel(
-            encoder=encoder, weights=weights, hyper=hyper, loss_curve=list(obj["loss_curve"])
-        )
-    if kind == "idm":
-        gates = obj["gate_logits"]
-        return InverseModel(
             encoder=encoder,
-            weights=weights,
-            gate_logits=None if gates is None else np.asarray(gates, dtype=np.float64),
-            sparsity_weight=obj["sparsity_weight"],
+            weights=_unpack(obj, "weights", where, (1 + N_ACTIONS, d + 1, d)),
             hyper=hyper,
-            loss_curve=list(obj["loss_curve"]),
+            loss_curve=_loss_curve_from(obj, where),
         )
-    raise ParseError(f"unknown model kind {kind!r}")
+    ps = _pair_structure(encoder)
+    width = 2 * d + ps.n_pairs + ps.n_pooled + 1
+    gates = None
+    if _key(obj, "gate_logits", where, (dict, type(None))) is not None:
+        gates = _unpack(obj, "gate_logits", where, (d,))
+    return InverseModel(
+        encoder=encoder,
+        weights=_unpack(obj, "weights", where, (width, N_ACTIONS)),
+        gate_logits=gates,
+        sparsity_weight=_key(obj, "sparsity_weight", where, _NUMBER),
+        hyper=hyper,
+        loss_curve=_loss_curve_from(obj, where),
+    )
 
 
 def load_model(path):
+    """Read a model written by :func:`save_model`; malformed files raise ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as err:
             raise ParseError(f"bad model file: {err.msg}", line=err.lineno) from err
-    if obj.get("schema") != MODEL_SCHEMA:
-        raise UnsupportedVersionError(
-            f"expected schema {MODEL_SCHEMA!r}, got {obj.get('schema')!r}"
-        )
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema != MODEL_SCHEMA:
+        raise UnsupportedVersionError(f"expected schema {MODEL_SCHEMA!r}, got {schema!r}")
     return _model_from_payload(obj)

@@ -115,29 +115,12 @@ class ModelSet:
 
 def group_distance(encoder: Encoder, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of one-hot groups whose argmax differs between x and y."""
-    mismatch = 0
-    for g in encoder.groups:
-        if int(np.argmax(x[g.start : g.stop])) != int(np.argmax(y[g.start : g.stop])):
-            mismatch += 1
-    return mismatch / encoder.n_groups
+    return float(_group_distance_batch(encoder, np.atleast_2d(x), np.atleast_2d(y))[0])
 
 
 def _group_distance_batch(encoder: Encoder, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
-    mismatch = np.zeros(n)
-    for start, stop, count, size in _runs(encoder):
-        xa = X[:, start:stop].reshape(n, count, size).argmax(axis=2)
-        ya = Y[:, start:stop].reshape(n, count, size).argmax(axis=2)
-        mismatch += (xa != ya).sum(axis=1)
+    mismatch = (encoder.group_argmax(X) != encoder.group_argmax(Y)).sum(axis=1)
     return mismatch / encoder.n_groups
-
-
-def _runs(encoder: Encoder):
-    out = []
-    for g0, count, size in encoder.group_runs():
-        start = encoder.groups[g0].start
-        out.append((start, start + count * size, count, size))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +398,8 @@ def _evaluate(wm: WorldModel, test: Sequence[LabeledTransition]) -> tuple[float,
     loss = prediction_loss(wm, test)
     feats = np.stack([t.features for t in test])
     actions = [int(t.action) for t in test]
-    probs = wm.predict_proba(feats, actions)
-    pred_feats = wm.argmax_features(probs)
-    predictions = [wm.encoder.decode(pred_feats[i]) for i in range(len(test))]
+    classes = wm.encoder.group_argmax(wm.predict_proba(feats, actions))
+    predictions = [wm.encoder.decode_classes(row) for row in classes.tolist()]
     accuracy = dynamics_accuracy(
         predictions, [t.next_state for t in test], [t.state for t in test]
     )

@@ -66,6 +66,14 @@ class TestConfigValidation:
         bad.write_text("{not json")
         assert run_cli(["tlcm-demo", "--config", bad, "--out", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("config", [{"seeds": "2"}, {"strategies": "random"}],
+                             ids=["seeds-str", "strategies-str"])
+    def test_wrong_value_type_rejected(self, tmp_path, capsys, config):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert run_cli(["explore", "--config", bad, "--out", tmp_path / "o"]) == 2
+        assert f"explore.{next(iter(config))}: expected" in capsys.readouterr().err
+
 
 class TestGenData:
     def test_manifest_hashes_stable_across_reruns(self, tmp_path):
@@ -151,6 +159,20 @@ class TestExplore:
         assert run_cli(["explore", "--config", config, "--seed", 1, "--out", out]) == 0
         models = sorted(p.name for p in next(out.glob("*/models")).iterdir())
         assert models == ["random_s0_r1_world.json", "random_s0_r2_world.json"]
+
+        # Each checkpoint reloads to the weights behind its round's logged loss.
+        from wavlab.metrics import prediction_loss
+        from wavlab.models import load_model, save_model
+
+        run_dir = only_run_dir(out)
+        with open(run_dir / "rounds.csv", newline="") as fh:
+            logged = [row["test_pred_loss"] for row in csv.DictReader(fh)]
+        test = load(dataset).test
+        for name, loss in zip(models, logged):
+            wm = load_model(run_dir / "models" / name)
+            assert repr(prediction_loss(wm, test)) == loss
+            save_model(wm, tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == (run_dir / "models" / name).read_bytes()
 
     def test_missing_dataset_is_an_error(self, tmp_path):
         config = tmp_path / "e.json"

@@ -1,6 +1,7 @@
 """Dataset construction, splitting, composition filtering, persistence."""
 
 import collections
+import json
 
 import numpy as np
 import pytest
@@ -261,6 +262,22 @@ class TestPersistence:
         save(small_split, path)
         lines = path.read_text().splitlines()
         lines[4] = lines[4][:-5]  # truncate one record mid-JSON
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 5"):
+            load(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: s[:3] + s[4:],  # one group's index missing
+        lambda s: [-1] + s[1:],  # negative index
+        lambda s: s[:4] + [s[3]] + s[5:],  # an index duplicated over its neighbour
+    ], ids=["missing", "negative", "duplicated"])
+    def test_corrupt_active_indices_report_line(self, small_split, tmp_path, corrupt):
+        path = tmp_path / "split.wavsplit"
+        save(small_split, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[4])
+        record["s"] = corrupt(record["s"])
+        lines[4] = json.dumps(record, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="line 5"):
             load(path)

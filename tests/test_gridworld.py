@@ -235,6 +235,15 @@ class TestEncoder:
             for _ in range(3):
                 s = step(s, Action(int(rng.integers(7))), rng)
             assert enc.decode(enc.encode(s)) == s
+            assert enc.decode_indices(enc.active_indices(s)) == s
+
+    def test_group_argmax_matches_per_group_loop(self):
+        enc = Encoder(7, 6, 3)
+        rows = np.random.default_rng(7).integers(0, 3, size=(20, enc.n_features)).astype(float)
+        # Small integer values tie often; ties go to the lowest class.
+        expected = np.array([[np.argmax(r[g.start:g.stop]) for g in enc.groups] for r in rows])
+        assert np.array_equal(enc.group_argmax(rows), expected)
+        assert np.array_equal(enc.group_argmax(rows[3]), expected[3])
 
     def test_dir_difference_localized(self, small_encoder):
         s = make_state(agent_dir=0)

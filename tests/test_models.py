@@ -1,13 +1,15 @@
 """Model training: gradients, determinism, reduction, mask behavior, priors."""
 
+import base64
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from wavlab.datasets import EnvConfig, collect_random_play, collect_task_play
-from wavlab.errors import ConfigError
+from wavlab.errors import ConfigError, ParseError, UnsupportedVersionError
 from wavlab.gridworld import Action, Encoder, generate_layout, step, validate_state
 from wavlab.models import (
     DeltaKind,
@@ -26,10 +28,8 @@ from wavlab.models import (
     train_ensemble,
     train_idm,
     train_world_model,
-    _group_classes,
     _idm_loss_and_grad,
     _pair_structure,
-    _run_slices,
     _sigmoid,
     _wm_loss_and_grad,
 )
@@ -143,7 +143,7 @@ class TestGradients:
         X = np.concatenate([S, np.ones((len(S), 1))], axis=1)
         rng = np.random.default_rng(6)
         W = rng.normal(0, 0.05, size=(8, X.shape[1], N.shape[1]))
-        runs = _run_slices(enc)
+        runs = enc.run_slices
         _, grad = _wm_loss_and_grad(W, X, A, N, runs, enc.n_groups)
         eps = 1e-6
         for a, i, j in [(0, 3, 10), (2, X.shape[1] - 1, 0), (5, 7, 33), (7, 2, 21)]:
@@ -162,8 +162,8 @@ class TestGradients:
         S, A, N = self._batch()
         enc = self.ENC
         ps = _pair_structure(enc)
-        CS = _group_classes(enc, S)
-        CS2 = _group_classes(enc, N)
+        CS = enc.group_argmax(S)
+        CS2 = enc.group_argmax(N)
         T = np.zeros((len(S), 7))
         T[np.arange(len(S)), A] = 1.0
         rng = np.random.default_rng(7)
@@ -476,3 +476,66 @@ class TestCheckpoints:
         t = small_split.test[0]
         assert disagreement(loaded, t.features, t.action) == pytest.approx(
             disagreement(ens, t.features, t.action), abs=0)
+
+    # Every field differs from its TrainConfig default.
+    ODD_HYPER = TrainConfig(learning_rate=0.05, batch_size=8, epochs=3, init_scale=0.02,
+                            gate_init=1.5, gate_lr=0.7, gate_warmup_frac=0.9)
+
+    def test_full_train_config_round_trips(self, small_split, small_encoder, tmp_path):
+        defaults = TrainConfig()
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(self.ODD_HYPER, f.name) != getattr(defaults, f.name)
+        data = small_split.seed_labeled[:40]
+        wm = train_world_model(data, small_encoder, self.ODD_HYPER, np.random.default_rng(36))
+        idm = train_idm(data, 0.1, self.ODD_HYPER, np.random.default_rng(37),
+                        encoder=small_encoder)
+        for name, model in (("wm", wm), ("idm", idm)):
+            path = tmp_path / f"{name}.json"
+            save_model(model, path)
+            loaded = load_model(path)
+            assert loaded.hyper == model.hyper
+            assert np.array_equal(loaded.weights, model.weights)
+            assert loaded.loss_curve == model.loss_curve
+
+    def test_old_schema_refused(self, trained_wm, tmp_path):
+        path = tmp_path / "wm.json"
+        save_model(trained_wm, path)
+        obj = json.loads(path.read_text())
+        obj["schema"] = "wav-model/1"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(UnsupportedVersionError):
+            load_model(path)
+
+    @staticmethod
+    def _truncate_payload(obj):
+        raw = base64.b64decode(obj["weights"]["f8"])
+        obj["weights"]["f8"] = base64.b64encode(raw[:-8]).decode()
+
+    @staticmethod
+    def _reshape_weights(obj):
+        shape = obj["weights"]["shape"]
+        obj["weights"]["shape"] = [shape[0], shape[1] * shape[2], 1]
+
+    @pytest.mark.parametrize("mutate, key", [
+        (lambda o: o.pop("loss_curve"), "loss_curve"),
+        (lambda o: o.pop("weights"), "weights"),
+        (lambda o: o["weights"].update(f8="not*base64"), "weights"),
+        (_truncate_payload, "weights"),
+        (_reshape_weights, "weights"),
+        (lambda o: o["weights"].update(shape="3x4"), "weights"),
+        (lambda o: o["hyper"].update(momentum=0.9), "hyper"),
+        (lambda o: o["hyper"].pop("gate_warmup_frac"), "hyper"),
+        (lambda o: o["env"].pop("width"), "env"),
+        (lambda o: o.update(loss_curve="low"), "loss_curve"),
+    ], ids=["no-loss-curve", "no-weights", "bad-base64", "short-payload",
+            "shape-off-encoder", "shape-not-a-list", "unknown-hyper", "missing-hyper",
+            "bad-env", "loss-curve-type"])
+    def test_malformed_world_model_raises_parse_error(self, trained_wm, tmp_path,
+                                                      mutate, key):
+        path = tmp_path / "wm.json"
+        save_model(trained_wm, path)
+        obj = json.loads(path.read_text())
+        mutate(obj)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=f"'{key}'"):
+            load_model(path)
