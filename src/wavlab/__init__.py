@@ -49,6 +49,7 @@ from .verify import (  # noqa: F401
     RoundLog,
     baseline_scores,
     run_exploration,
+    score_candidates,
     wav_score_env,
     wav_score_pool,
 )

@@ -43,12 +43,13 @@ from .models import (
 from .rng import substream
 from .theory import LinearGaussianSpec, lemma_excess_risk, measure_gap, sweep_gap
 from .verify import (
+    DEFAULT_DISTANCE,
     STRATEGIES,
     ExplorationConfig,
     ModelSet,
-    baseline_scores,
+    _label_free_losses,
     run_exploration,
-    score_vs_error_table,
+    score_candidates,
 )
 
 ROUNDS_COLUMNS = (
@@ -168,7 +169,7 @@ class RankCorrConfig:
     warmup_budget: int = 100
     ensemble_size: int = 3
     sparsity_weight: float = 0.1
-    distance: str = "cross-entropy"
+    distance: str = DEFAULT_DISTANCE
     wm: HyperSection = field(default_factory=HyperSection)
     idm: HyperSection = field(default_factory=HyperSection)
 
@@ -180,10 +181,9 @@ class ExploreConfig:
     seeds: int = 5
     rounds: int = 3
     budget: int = 100
-    subgoal_candidates: int = 4
     ensemble_size: int = 3
     sparsity_weight: float = 0.1
-    distance: str = "cross-entropy"
+    distance: str = DEFAULT_DISTANCE
     checkpoints: str = "round"  # "round", "final", or "none"
     wm: HyperSection = field(default_factory=HyperSection)
     idm: HyperSection = field(default_factory=HyperSection)
@@ -429,7 +429,6 @@ def _explore_cell(args):
     exploration = ExplorationConfig(
         rounds=config.rounds,
         budget=config.budget,
-        subgoal_candidates=config.subgoal_candidates,
         ensemble_size=config.ensemble_size,
         sparsity_weight=config.sparsity_weight,
         distance=config.distance,
@@ -530,28 +529,20 @@ def cmd_rank_corr(config: RankCorrConfig, seed: int, run: RunDir) -> int:
             len(remaining), size=min(config.n_candidates, len(remaining)), replace=False
         )
         candidates = [split.pool.items[remaining[int(i)]] for i in sorted(picks)]
-        from .verify import _label_free_losses, _wav_scores_batch, _true_losses
-
-        prev = {
+        models.prev_candidate_losses = {
             c.tid: float(v)
             for c, v in zip(candidates, _label_free_losses(wm0, idm0, candidates))
         }
-        models.prev_candidate_losses = prev
-        oracle_scores = _true_losses(models.world, candidates)
+        oracle_scores = score_candidates("oracle", models, candidates)
         for strategy in config.strategies:
-            if strategy == "wav-sparse":
-                values = _wav_scores_batch(models.world, models.idm_sparse, candidates,
-                                           config.distance)
-            elif strategy == "wav-vanilla":
-                values = _wav_scores_batch(models.world, models.idm_vanilla, candidates,
-                                           config.distance)
-            else:
-                scored = baseline_scores(
-                    strategy, models, candidates,
-                    rng=rng.spawn(1)[0],
-                    intervals=max(1, len(candidates) // 10),
-                )
-                values = np.asarray([s.score for s in scored])
+            # Only the non-cycle strategies draw a child generator; the random
+            # rows depend on that order.
+            values = score_candidates(
+                strategy, models, candidates,
+                rng=None if strategy.startswith("wav-") else rng.spawn(1)[0],
+                intervals=max(1, len(candidates) // 10),
+                distance=config.distance,
+            )
             try:
                 rho = spearman(values, oracle_scores)
                 tau = kendall(values, oracle_scores)

@@ -623,6 +623,11 @@ def _parse_record(obj: dict, enc: Encoder, line: int):
         raise ParseError(f"bad record: {err}", line=line) from err
     features = enc.encode(state)
     next_features = enc.encode(next_state)
+    # A record that breaks a decode precedence rule (say, a real object with
+    # colour class 0) decodes to a state that re-encodes to other indices.
+    for key, encoded in (("s", features), ("s_next", next_features)):
+        if np.flatnonzero(encoded).tolist() != obj[key]:
+            raise ParseError(f"non-canonical record: {key!r} re-encodes differently", line=line)
     if kind == "labeled":
         return LabeledTransition(
             tid=tid, state=state, action=action, next_state=next_state,

@@ -210,23 +210,24 @@ def _wm_loss_and_grad(
     """Mean per-group cross-entropy and its gradient for one batch.
 
     ``X`` already carries the bias column; weights[0] is the shared block.
+    The gradient maps each block the batch touches to its array: the shared
+    block and the block of every action present. A single-action batch
+    takes one product, which serves both of its blocks.
     """
     n = X.shape[0]
-    logits = X @ weights[0]
-    row_sets = []
-    for a in range(N_ACTIONS):
-        rows = np.flatnonzero(actions == a)
-        row_sets.append(rows)
-        if len(rows):
-            logits[rows] += X[rows] @ weights[1 + a]
+    present = sorted(set(actions.tolist()))
+    rows_of = {
+        a: np.flatnonzero(actions == a) if len(present) > 1 else slice(None) for a in present
+    }
+    logits = np.empty((n, weights.shape[2]))
+    for a, rows in rows_of.items():
+        logits[rows] = X[rows] @ (weights[0] + weights[1 + a])
     probs = _softmax_runs(logits, runs)
     loss = float(_per_item_ce(probs, targets, n_groups).mean())
     dlogits = (probs - targets) / (n * n_groups)
-    grad = np.zeros_like(weights)
-    grad[0] = X.T @ dlogits
-    for a, rows in enumerate(row_sets):
-        if len(rows):
-            grad[1 + a] = X[rows].T @ dlogits[rows]
+    grad = {0: X.T @ dlogits}
+    for a, rows in rows_of.items():
+        grad[1 + a] = grad[0] if len(rows_of) == 1 else X[rows].T @ dlogits[rows]
     return loss, grad
 
 
@@ -257,24 +258,20 @@ def train_world_model(
     n_groups = encoder.n_groups
     by_action = [np.flatnonzero(A == a) for a in range(N_ACTIONS)]
     for _ in range(hyper.epochs):
-        # Batches are stratified by action: each update touches exactly one
-        # per-action weight block with one full-speed matrix product.
-        batches = []
-        for a in range(N_ACTIONS):
-            rows = by_action[a]
-            for batch in _batches(rows[rng.permutation(len(rows))], hyper.batch_size):
-                batches.append((a, batch))
-        batch_order = rng.permutation(len(batches))
+        # Batches are stratified by action: each update touches the shared
+        # block and exactly one per-action block with one matrix product.
+        batches = [
+            batch
+            for rows in by_action
+            for batch in _batches(rows[rng.permutation(len(rows))], hyper.batch_size)
+        ]
         epoch_losses = []
-        for bi in batch_order:
-            a, batch = batches[bi]
-            Xb, Tb = X[batch], N[batch]
-            probs = _softmax_runs(Xb @ (W[0] + W[1 + a]), runs)
-            epoch_losses.append(float(_per_item_ce(probs, Tb, n_groups).mean()))
-            dlogits = (probs - Tb) / (len(batch) * n_groups)
-            grad = Xb.T @ dlogits
-            W[0] -= hyper.learning_rate * grad
-            W[1 + a] -= hyper.learning_rate * grad
+        for bi in rng.permutation(len(batches)):
+            batch = batches[bi]
+            loss, grad = _wm_loss_and_grad(W, X[batch], A[batch], N[batch], runs, n_groups)
+            for block, g in grad.items():
+                W[block] -= hyper.learning_rate * g
+            epoch_losses.append(loss)
         epoch_loss = float(np.mean(epoch_losses))
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(
@@ -527,9 +524,7 @@ def train_idm(
     if learn_mask is None:
         learn_mask = sparsity_weight > 0
 
-    S = np.stack([t.features for t in data])
-    S2 = np.stack([t.next_features for t in data])
-    A = np.fromiter((int(t.action) for t in data), dtype=np.intp, count=len(data))
+    S, A, S2 = _training_matrices(data)
     T = np.zeros((len(data), N_ACTIONS))
     T[np.arange(len(data)), A] = 1.0
     CS = encoder.group_argmax(S)
@@ -575,9 +570,7 @@ def train_idm(
 def action_accuracy(idm: InverseModel, data: Sequence[LabeledTransition]) -> float:
     if not data:
         raise ConfigError("accuracy over an empty dataset is undefined")
-    S = np.stack([t.features for t in data])
-    S2 = np.stack([t.next_features for t in data])
-    A = np.fromiter((int(t.action) for t in data), dtype=np.intp, count=len(data))
+    S, A, S2 = _training_matrices(data)
     pred, _ = idm.infer_batch(S, S2)
     return float((pred == A).mean())
 
@@ -602,18 +595,15 @@ def train_ensemble(
     m: int,
     hyper: Optional[TrainConfig] = None,
     rng: Optional[np.random.Generator] = None,
-    bootstrap: bool = True,
 ) -> Ensemble:
-    """Train ``m`` world models on per-member seeds and (optionally) bootstraps."""
+    """Train ``m`` world models, each on its own seed and bootstrap resample."""
     if m < 2:
         raise ConfigError(f"ensemble size must be >= 2, got {m}")
     rng = rng if rng is not None else np.random.default_rng(0)
     members = []
     for child in rng.spawn(m):
-        subset = data
-        if bootstrap:
-            idx = child.integers(len(data), size=len(data))
-            subset = [data[i] for i in idx]
+        idx = child.integers(len(data), size=len(data))
+        subset = [data[i] for i in idx]
         members.append(train_world_model(subset, encoder, hyper=hyper, rng=child))
     return Ensemble(members=members)
 

@@ -153,17 +153,6 @@ class TaskPolicy:
     def _random_action(self) -> Action:
         return Action(int(self.rng.integers(len(Action))))
 
-    def _facing(self, state: GridState, kind: ObjectKind) -> bool:
-        obj = state.cells.get(front_pos(state))
-        return obj is not None and obj.kind is kind
-
-    def _enqueue_face(self, state: GridState, target) -> bool:
-        plan = _plan_to_face(state, target)
-        if plan is None:
-            return False
-        self._queue.extend(plan)
-        return True
-
     def next_action(self, state: GridState) -> Action:
         if self._queue:
             return self._queue.popleft()

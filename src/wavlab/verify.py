@@ -10,6 +10,7 @@ Baselines: random, ensemble-disagreement uncertainty, learning progress,
 and the oracle family, which is the only code allowed to read hidden pool
 labels. Uncertainty and progress need an action for unlabeled candidates
 and use the vanilla inverse model's argmax, which keeps them label-free.
+:func:`score_candidates` maps every strategy to its scores.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .models import (
     SubgoalGenerator,
     TrainConfig,
     WorldModel,
+    _per_item_ce,
     disagreement_batch,
     fit_subgoal_generator,
     sample_subgoals,
@@ -59,7 +61,8 @@ __all__ = [
     "baseline_scores",
     "select_top",
     "run_exploration",
-    "score_vs_error_table",
+    "score_candidates",
+    "DEFAULT_DISTANCE",
 ]
 
 STRATEGIES = (
@@ -74,7 +77,6 @@ STRATEGIES = (
 )
 
 _WAV_STRATEGIES = ("wav-vanilla", "wav-sparse")
-_ORACLE_STRATEGIES = ("oracle", "oracle-easy", "oracle-uniform")
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,10 @@ def _group_distance_batch(encoder: Encoder, X: np.ndarray, Y: np.ndarray) -> np.
 
 
 DISTANCES = ("group-mismatch", "cross-entropy")
+# The cross-entropy form is what the experiments use: unpredictable noise
+# groups contribute a near constant to it instead of per-candidate mismatch
+# noise.
+DEFAULT_DISTANCE = "cross-entropy"
 
 
 def wav_score_pool(
@@ -137,17 +143,15 @@ def wav_score_pool(
     candidate: UnlabeledTransition,
     round: int = 0,
     strategy: str = "wav-sparse",
-    distance: str = "group-mismatch",
+    distance: str = DEFAULT_DISTANCE,
 ) -> AcquisitionScore:
     """Reverse-cycle score with the candidate's observed successor as subgoal.
 
     ``distance`` picks the discrepancy: the fraction of disagreeing one-hot
     groups (bounded, equal-weighted) or the mean per-group cross-entropy of
-    the subgoal under the predicted distributions. The cross-entropy form is
-    what the experiments use: unpredictable noise groups contribute a near
-    constant to it instead of per-candidate mismatch noise.
+    the subgoal under the predicted distributions.
     """
-    scores = _wav_scores_batch(wm, idm, [candidate], distance)
+    scores, _ = _wav_scores(wm, idm, *_candidate_matrices([candidate]), distance)
     return AcquisitionScore(
         candidate_id=candidate.tid, strategy=strategy, score=float(scores[0]), round=round
     )
@@ -160,23 +164,17 @@ def _subgoal_distance(
         predicted = wm.argmax_features(probs)
         return _group_distance_batch(wm.encoder, subgoals, predicted)
     if distance == "cross-entropy":
-        from .models import _per_item_ce
-
         return _per_item_ce(probs, subgoals, wm.encoder.n_groups)
     raise ConfigError(f"unknown distance {distance!r}; known: {DISTANCES}")
 
 
-def _wav_scores_batch(
-    wm: WorldModel,
-    idm: InverseModel,
-    candidates: Sequence[UnlabeledTransition],
-    distance: str = "group-mismatch",
-) -> np.ndarray:
-    S = np.stack([c.features for c in candidates])
-    S2 = np.stack([c.next_features for c in candidates])
-    actions, _ = idm.infer_batch(S, S2)
+def _wav_scores(
+    wm: WorldModel, idm: InverseModel, S: np.ndarray, G: np.ndarray, distance: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse-cycle scores and inferred actions for states ``S`` and subgoals ``G``."""
+    actions, _ = idm.infer_batch(S, G)
     probs = wm.predict_proba(S, actions)
-    return _subgoal_distance(wm, probs, S2, distance)
+    return _subgoal_distance(wm, probs, G, distance), actions
 
 
 def wav_score_env(
@@ -188,7 +186,7 @@ def wav_score_env(
     rng: np.random.Generator,
     round: int = 0,
     strategy: str = "wav-sparse",
-    distance: str = "group-mismatch",
+    distance: str = DEFAULT_DISTANCE,
 ) -> tuple[AcquisitionScore, Action]:
     """Reverse-cycle score over K sampled subgoals; returns the most surprising.
 
@@ -198,10 +196,7 @@ def wav_score_env(
         raise ConfigError("K must be >= 1")
     subgoals = sample_subgoals(gen, s_features, K, rng)
     S = np.tile(np.asarray(s_features), (K, 1))
-    G = np.stack(subgoals)
-    actions, _ = idm.infer_batch(S, G)
-    probs = wm.predict_proba(S, actions)
-    scores = _subgoal_distance(wm, probs, G, distance)
+    scores, actions = _wav_scores(wm, idm, S, np.stack(subgoals), distance)
     best = int(np.argmax(scores))
     score = AcquisitionScore(
         candidate_id=-1, strategy=strategy, score=float(scores[best]), round=round
@@ -213,13 +208,6 @@ def _candidate_matrices(candidates: Sequence[UnlabeledTransition]):
     S = np.stack([c.features for c in candidates])
     S2 = np.stack([c.next_features for c in candidates])
     return S, S2
-
-
-def _true_losses(wm: WorldModel, candidates: Sequence[UnlabeledTransition]) -> np.ndarray:
-    """Prediction loss under the hidden ground-truth actions (oracle only)."""
-    S, S2 = _candidate_matrices(candidates)
-    actions = [int(peek_hidden_action(c)) for c in candidates]
-    return wm.per_item_loss(S, actions, S2)
 
 
 def _label_free_losses(
@@ -246,15 +234,15 @@ def _oracle_uniform_scores(losses: np.ndarray, intervals: int) -> np.ndarray:
     return scores
 
 
-def baseline_scores(
+def score_candidates(
     strategy: str,
     models: ModelSet,
     candidates: Sequence[UnlabeledTransition],
     rng: Optional[np.random.Generator] = None,
-    round: int = 0,
     intervals: Optional[int] = None,
-) -> list[AcquisitionScore]:
-    """Scores for one of the non-cycle strategies.
+    distance: str = DEFAULT_DISTANCE,
+) -> np.ndarray:
+    """One score per candidate under ``strategy``; higher means acquire first.
 
     random      iid uniform draws (needs rng)
     uncertainty ensemble disagreement at the vanilla-inferred action
@@ -262,20 +250,18 @@ def baseline_scores(
     oracle      true prediction loss from hidden labels (upper bound)
     oracle-easy negated oracle
     oracle-uniform  per-interval top oracle picks, `intervals` bins
+    wav-vanilla, wav-sparse  reverse-cycle score under ``distance`` with the
+                named inverse model and the candidate's successor as subgoal
     """
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}; known: {STRATEGIES}")
     if not candidates:
-        return []
+        return np.empty(0)
     if strategy == "random":
         if rng is None:
             raise ConfigError("random scoring needs a generator")
-        values = rng.uniform(size=len(candidates))
-    elif strategy == "uncertainty":
-        if models.ensemble is None or models.idm_vanilla is None:
-            raise ConfigError("uncertainty scoring needs an ensemble and a vanilla idm")
-        S, S2 = _candidate_matrices(candidates)
-        actions, _ = models.idm_vanilla.infer_batch(S, S2)
-        values = disagreement_batch(models.ensemble, S, actions)
-    elif strategy == "progress":
+        return rng.uniform(size=len(candidates))
+    if strategy == "progress":
         if models.prev_candidate_losses is None:
             raise ConfigError("progress scoring needs previous-round losses")
         if models.idm_vanilla is None:
@@ -285,23 +271,51 @@ def baseline_scores(
         missing = [c.tid for c in candidates if c.tid not in prev]
         if missing:
             raise ConfigError(f"progress has no previous loss for ids {missing[:5]}")
-        values = np.asarray([prev[c.tid] for c in candidates]) - current
-    elif strategy in _ORACLE_STRATEGIES:
-        losses = _true_losses(models.world, candidates)
-        if strategy == "oracle":
-            values = losses
-        elif strategy == "oracle-easy":
-            values = -losses
-        else:
-            if intervals is None or intervals < 1:
-                raise ConfigError("oracle-uniform needs a positive interval count")
-            values = _oracle_uniform_scores(losses, intervals)
-    else:
-        raise ConfigError(f"unknown baseline strategy {strategy!r}")
+        return np.asarray([prev[c.tid] for c in candidates]) - current
+    S, S2 = _candidate_matrices(candidates)
+    if strategy in _WAV_STRATEGIES:
+        idm = models.idm_sparse if strategy == "wav-sparse" else models.idm_vanilla
+        if idm is None:
+            raise ConfigError(f"{strategy} scoring needs its inverse model")
+        return _wav_scores(models.world, idm, S, S2, distance)[0]
+    if strategy == "uncertainty":
+        if models.ensemble is None or models.idm_vanilla is None:
+            raise ConfigError("uncertainty scoring needs an ensemble and a vanilla idm")
+        actions, _ = models.idm_vanilla.infer_batch(S, S2)
+        return disagreement_batch(models.ensemble, S, actions)
+    # The oracle family is the only code that reads the hidden labels.
+    losses = models.world.per_item_loss(
+        S, [int(peek_hidden_action(c)) for c in candidates], S2
+    )
+    if strategy == "oracle":
+        return losses
+    if strategy == "oracle-easy":
+        return -losses
+    if intervals is None or intervals < 1:
+        raise ConfigError("oracle-uniform needs a positive interval count")
+    return _oracle_uniform_scores(losses, intervals)
+
+
+def _as_scores(
+    strategy: str, candidates: Sequence[UnlabeledTransition], values: np.ndarray, round: int
+) -> list[AcquisitionScore]:
     return [
         AcquisitionScore(candidate_id=c.tid, strategy=strategy, score=float(v), round=round)
         for c, v in zip(candidates, values)
     ]
+
+
+def baseline_scores(
+    strategy: str,
+    models: ModelSet,
+    candidates: Sequence[UnlabeledTransition],
+    rng: Optional[np.random.Generator] = None,
+    round: int = 0,
+    intervals: Optional[int] = None,
+) -> list[AcquisitionScore]:
+    """:func:`score_candidates` as one :class:`AcquisitionScore` per candidate."""
+    values = score_candidates(strategy, models, candidates, rng=rng, intervals=intervals)
+    return _as_scores(strategy, candidates, values, round)
 
 
 def select_top(scores: Sequence[AcquisitionScore], budget: int) -> list[int]:
@@ -319,14 +333,11 @@ def select_top(scores: Sequence[AcquisitionScore], budget: int) -> list[int]:
 class ExplorationConfig:
     rounds: int = 3
     budget: int = 100
-    subgoal_candidates: int = 4
     ensemble_size: int = 3
-    ensemble_bootstrap: bool = True
     sparsity_weight: float = 0.1
-    distance: str = "cross-entropy"
+    distance: str = DEFAULT_DISTANCE
     wm_hyper: TrainConfig = field(default_factory=lambda: DEFAULT_WM_HYPER)
     idm_hyper: TrainConfig = field(default_factory=lambda: DEFAULT_IDM_HYPER)
-    oracle_uniform_intervals: Optional[int] = None  # None: one per acquired sample
 
 
 def _train_models(
@@ -360,7 +371,6 @@ def _train_models(
             config.ensemble_size,
             hyper=config.wm_hyper,
             rng=ens_rng,
-            bootstrap=config.ensemble_bootstrap,
         )
     return models
 
@@ -373,25 +383,15 @@ def _strategy_scores(
     rng: np.random.Generator,
     round: int,
 ) -> list[AcquisitionScore]:
-    if strategy in _WAV_STRATEGIES:
-        idm = models.idm_sparse if strategy == "wav-sparse" else models.idm_vanilla
-        values = _wav_scores_batch(models.world, idm, candidates, config.distance)
-        return [
-            AcquisitionScore(candidate_id=c.tid, strategy=strategy, score=float(v), round=round)
-            for c, v in zip(candidates, values)
-        ]
-    if strategy == "progress" and models.prev_candidate_losses is None:
-        # No previous round to compare against; the first round is random.
-        scores = baseline_scores("random", models, candidates, rng=rng, round=round)
-        return [
-            AcquisitionScore(candidate_id=s.candidate_id, strategy="progress",
-                             score=s.score, round=round)
-            for s in scores
-        ]
-    intervals = config.oracle_uniform_intervals or config.budget
-    return baseline_scores(
-        strategy, models, candidates, rng=rng, round=round, intervals=intervals
+    # Progress has no previous round to compare against in round 1, so it
+    # scores randomly there; oracle-uniform takes one interval per acquired
+    # sample.
+    first_progress = strategy == "progress" and models.prev_candidate_losses is None
+    values = score_candidates(
+        "random" if first_progress else strategy, models, candidates,
+        rng=rng, intervals=config.budget, distance=config.distance,
     )
+    return _as_scores(strategy, candidates, values, round)
 
 
 def _evaluate(wm: WorldModel, test: Sequence[LabeledTransition]) -> tuple[float, float]:
@@ -486,46 +486,3 @@ def run_exploration(
             )
         )
     return logs
-
-
-# ---------------------------------------------------------------------------
-# Score-vs-error diagnostics
-# ---------------------------------------------------------------------------
-
-
-def score_vs_error_table(
-    strategy: str,
-    models: ModelSet,
-    labeled_eval_set: Sequence[LabeledTransition],
-    rng: Optional[np.random.Generator] = None,
-    distance: str = "cross-entropy",
-) -> list[tuple[float, float]]:
-    """(score, true prediction loss) per item; label-free where the strategy is."""
-    feats = np.stack([t.features for t in labeled_eval_set])
-    actions = [int(t.action) for t in labeled_eval_set]
-    next_feats = np.stack([t.next_features for t in labeled_eval_set])
-    true_error = models.world.per_item_loss(feats, actions, next_feats)
-
-    as_unlabeled = [
-        UnlabeledTransition(
-            tid=t.tid,
-            state=t.state,
-            next_state=t.next_state,
-            features=t.features,
-            next_features=t.next_features,
-            task=t.task,
-            _hidden_action=t.action,
-            _front_object=t.front_object,
-        )
-        for t in labeled_eval_set
-    ]
-    if strategy in _WAV_STRATEGIES:
-        idm = models.idm_sparse if strategy == "wav-sparse" else models.idm_vanilla
-        values = _wav_scores_batch(models.world, idm, as_unlabeled, distance)
-    else:
-        intervals = max(1, len(labeled_eval_set) // 10)
-        scored = baseline_scores(
-            strategy, models, as_unlabeled, rng=rng, intervals=intervals
-        )
-        values = np.asarray([s.score for s in scored])
-    return [(float(v), float(e)) for v, e in zip(values, true_error)]

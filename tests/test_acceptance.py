@@ -45,11 +45,9 @@ from wavlab.tlcm import default_tlcm, tlcm_demo
 from wavlab.verify import (
     ExplorationConfig,
     ModelSet,
-    baseline_scores,
     run_exploration,
+    score_candidates,
     _label_free_losses,
-    _true_losses,
-    _wav_scores_batch,
 )
 
 
@@ -82,6 +80,7 @@ def test_c01_ols_lemma_fidelity():
     report(1, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_c02_exact_forward_risk_grid():
     rows = []
     for d_s in (10, 20, 30):
@@ -100,6 +99,7 @@ def test_c02_exact_forward_risk_grid():
               f"inverse bound and factor audit hold on every cell")
 
 
+@pytest.mark.slow
 def test_c03_gap_factor_monotonicity():
     trials = 10_000
 
@@ -214,6 +214,7 @@ def test_c05_gridworld_property_volume():
               f"pickup/drop {pickup_pairs}) in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_c06_sparse_vs_vanilla_oos():
     started = time.perf_counter()
     table = default_composition_table()
@@ -250,6 +251,7 @@ def test_c06_sparse_vs_vanilla_oos():
               f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_c07_ranking_fidelity_ordering():
     split_config = SplitConfig(seed_size=200, pool_size=2000, test_size=140, video_size=0)
     rhos = {s: [] for s in ("wav-sparse", "uncertainty", "progress")}
@@ -279,18 +281,12 @@ def test_c07_ranking_fidelity_ordering():
             c.tid: float(v)
             for c, v in zip(candidates, _label_free_losses(wm0, idm0, candidates))
         }
-        oracle = _true_losses(models.world, candidates)
+        oracle = score_candidates("oracle", models, candidates)
         assert spearman(oracle, oracle) == pytest.approx(1.0)  # oracle vs itself
         for strategy in rhos:
-            if strategy == "wav-sparse":
-                values = _wav_scores_batch(
-                    models.world, models.idm_sparse, candidates, "cross-entropy"
-                )
-            else:
-                scored = baseline_scores(
-                    strategy, models, candidates, rng=tr.spawn(1)[0], intervals=30
-                )
-                values = np.asarray([s.score for s in scored])
+            # Only the non-cycle strategies draw a child generator, as in rank-corr.
+            child = None if strategy == "wav-sparse" else tr.spawn(1)[0]
+            values = score_candidates(strategy, models, candidates, rng=child, intervals=30)
             rhos[strategy].append(spearman(values, oracle))
     means = {s: float(np.mean(v)) for s, v in rhos.items()}
     assert means["wav-sparse"] >= means["uncertainty"], means
@@ -300,6 +296,7 @@ def test_c07_ranking_fidelity_ordering():
     ) + "; oracle itself rho=1 exactly")
 
 
+@pytest.mark.slow
 def test_c08_acquisition_effectiveness_ordering():
     started = time.perf_counter()
     split_config = SplitConfig(seed_size=200, pool_size=2000, test_size=700, video_size=0)
@@ -357,6 +354,7 @@ def _strip_wall_time(path):
     return [tuple(row) for row in rows]
 
 
+@pytest.mark.slow
 def test_c10_reproducibility(tmp_path):
     gen_config = tmp_path / "gen.json"
     gen_config.write_text(json.dumps({

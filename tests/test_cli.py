@@ -74,6 +74,12 @@ class TestConfigValidation:
         assert run_cli(["explore", "--config", bad, "--out", tmp_path / "o"]) == 2
         assert f"explore.{next(iter(config))}: expected" in capsys.readouterr().err
 
+    def test_removed_key_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"subgoal_candidates": 4}')
+        assert run_cli(["explore", "--config", bad, "--out", tmp_path / "o"]) == 2
+        assert "subgoal_candidates" in capsys.readouterr().err
+
 
 class TestGenData:
     def test_manifest_hashes_stable_across_reruns(self, tmp_path):

@@ -210,6 +210,13 @@ class TestRevealAction:
             reveal_action(split.pool, len(split.pool))
 
 
+def _colour_class_zero(s, enc):
+    """The first object's colour index moved to class 0."""
+    n = len(enc.cells)
+    i = next(i for i in range(n) if s[i] != enc.group_starts[i])
+    return s[:n + i] + [int(enc.group_starts[n + i])] + s[n + i + 1:]
+
+
 class TestPersistence:
     def test_round_trip_bytes(self, small_split, tmp_path):
         path = tmp_path / "split.wavsplit"
@@ -267,16 +274,17 @@ class TestPersistence:
             load(path)
 
     @pytest.mark.parametrize("corrupt", [
-        lambda s: s[:3] + s[4:],  # one group's index missing
-        lambda s: [-1] + s[1:],  # negative index
-        lambda s: s[:4] + [s[3]] + s[5:],  # an index duplicated over its neighbour
-    ], ids=["missing", "negative", "duplicated"])
+        lambda s, enc: s[:3] + s[4:],  # one group's index missing
+        lambda s, enc: [-1] + s[1:],  # negative index
+        lambda s, enc: s[:4] + [s[3]] + s[5:],  # an index duplicated over its neighbour
+        _colour_class_zero,  # a real object with colour class 0 decodes as red
+    ], ids=["missing", "negative", "duplicated", "noncanonical"])
     def test_corrupt_active_indices_report_line(self, small_split, tmp_path, corrupt):
         path = tmp_path / "split.wavsplit"
         save(small_split, path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[4])
-        record["s"] = corrupt(record["s"])
+        record["s"] = corrupt(record["s"], small_split.encoder())
         lines[4] = json.dumps(record, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="line 5"):

@@ -154,9 +154,9 @@ class TestGradients:
             lm, _ = _wm_loss_and_grad(Wm, X, A, N, runs, enc.n_groups)
             fd = (lp - lm) / (2 * eps)
             if abs(fd) > 1e-9:
-                assert abs(grad[a, i, j] - fd) / max(abs(fd), 1e-9) < 1e-4
+                assert abs(grad[a][i, j] - fd) / max(abs(fd), 1e-9) < 1e-4
             else:
-                assert abs(grad[a, i, j]) < 1e-7
+                assert abs(grad[a][i, j]) < 1e-7
 
     def test_idm_gradient_including_mask(self):
         S, A, N = self._batch()

@@ -8,6 +8,7 @@ import pytest
 from wavlab.datasets import (
     EnvConfig,
     SplitConfig,
+    _to_unlabeled,
     build_split,
     collect_task_play,
     peek_hidden_action,
@@ -31,7 +32,7 @@ from wavlab.verify import (
     baseline_scores,
     group_distance,
     run_exploration,
-    score_vs_error_table,
+    score_candidates,
     select_top,
     wav_score_env,
     wav_score_pool,
@@ -77,7 +78,8 @@ class TestWavScorePool:
         pers = persistence_world_model(small_encoder)
         for u in small_split.pool.items:
             if u.state == u.next_state:
-                assert wav_score_pool(pers, models.idm_vanilla, u).score == 0.0
+                got = wav_score_pool(pers, models.idm_vanilla, u, distance="group-mismatch")
+                assert got.score == 0.0
                 return
         pytest.skip("no no-op candidate in the pool")
 
@@ -87,14 +89,14 @@ class TestWavScorePool:
             changed = int((small_encoder.group_argmax(u.features)
                            != small_encoder.group_argmax(u.next_features)).sum())
             if changed == 1:
-                got = wav_score_pool(pers, models.idm_vanilla, u)
+                got = wav_score_pool(pers, models.idm_vanilla, u, distance="group-mismatch")
                 assert got.score == pytest.approx(1 / small_encoder.n_groups)
                 return
         pytest.skip("no single-group candidate found")
 
     def test_scores_bounded(self, small_split, models):
         for u in small_split.pool.items[:40]:
-            s = wav_score_pool(models.world, models.idm_sparse, u)
+            s = wav_score_pool(models.world, models.idm_sparse, u, distance="group-mismatch")
             assert 0.0 <= s.score <= 1.0
 
 
@@ -305,8 +307,15 @@ class TestRunExploration:
 
 
 class TestScoreVsError:
+    @staticmethod
+    def _scatter(strategy, models, labeled, rng=None):
+        """(score, true prediction loss) per item of a labeled set."""
+        items = [_to_unlabeled(t) for t in labeled]
+        scores = score_candidates(strategy, models, items, rng=rng)
+        return list(zip(scores, score_candidates("oracle", models, items)))
+
     def test_oracle_scatter_is_diagonal(self, models, small_split):
-        table = score_vs_error_table("oracle", models, small_split.test[:60])
+        table = self._scatter("oracle", models, small_split.test[:60])
         assert len(table) == 60
         xs = [row[0] for row in table]
         ys = [row[1] for row in table]
@@ -316,15 +325,15 @@ class TestScoreVsError:
     def test_random_scatter_uncorrelated(self, models, small_split):
         rhos = []
         for seed in range(5):
-            table = score_vs_error_table("random", models, small_split.test[:100],
-                                         rng=np.random.default_rng(17 + seed))
+            table = self._scatter("random", models, small_split.test[:100],
+                                  rng=np.random.default_rng(17 + seed))
             rhos.append(spearman([r[0] for r in table], [r[1] for r in table]))
         assert abs(np.mean(rhos)) <= 0.15
 
     def test_wav_scatter_positively_related(self, models, small_split):
-        # The group-mismatch distance quantizes heavily on the small grid,
-        # so only the sign of the relation is asserted here; the desk-scale
-        # ordering against the baselines lives in the acceptance suite.
-        table = score_vs_error_table("wav-sparse", models, small_split.test)
+        # The small grid and the briefly trained models leave the relation
+        # noisy, so only its sign is asserted here; the desk-scale ordering
+        # against the baselines lives in the acceptance suite.
+        table = self._scatter("wav-sparse", models, small_split.test)
         rho = spearman([r[0] for r in table], [r[1] for r in table])
         assert rho > 0.05
