@@ -41,8 +41,15 @@ from .models import (
     train_world_model,
 )
 from .rng import substream
-from .theory import LinearGaussianSpec, lemma_excess_risk, measure_gap, sweep_gap
+from .theory import (
+    LinearGaussianSpec,
+    check_sweep,
+    lemma_excess_risk,
+    measure_gap,
+    sweep_gap,
+)
 from .verify import (
+    CONSULTED_MODELS,
     DEFAULT_DISTANCE,
     STRATEGIES,
     ExplorationConfig,
@@ -497,6 +504,8 @@ def cmd_rank_corr(config: RankCorrConfig, seed: int, run: RunDir) -> int:
     split_master = datasets.load(config.dataset)
     encoder = split_master.encoder()
     wm_hyper, idm_hyper = _resolved_hypers(config)
+    consulted = {m for s in config.strategies for m in CONSULTED_MODELS.get(s, ())}
+    progress = "progress" in config.strategies
     corr_rows = []
     scatter_rows = []
     for seed_index in range(config.seeds):
@@ -505,8 +514,12 @@ def cmd_rank_corr(config: RankCorrConfig, seed: int, run: RunDir) -> int:
         warm_rng, train_rng, pick_rng = rng.spawn(3)
 
         labeled = list(split.seed_labeled)
-        wm0 = train_world_model(labeled, encoder, wm_hyper, train_rng.spawn(1)[0])
-        idm0 = train_idm(labeled, 0.0, idm_hyper, train_rng.spawn(1)[0], encoder=encoder)
+        # Every model's generator is spawned whether or not the model is
+        # trained, so each model gets the same one whatever strategies run.
+        wm0_rng, idm0_rng, wm_rng, vanilla_rng, sparse_rng, ens_rng = train_rng.spawn(6)
+        if progress:
+            wm0 = train_world_model(labeled, encoder, wm_hyper, wm0_rng)
+            idm0 = train_idm(labeled, 0.0, idm_hyper, idm0_rng, encoder=encoder)
         unrevealed = split.pool.unrevealed_indices()
         warm_picks = warm_rng.choice(
             len(unrevealed), size=min(config.warmup_budget, len(unrevealed)),
@@ -515,24 +528,27 @@ def cmd_rank_corr(config: RankCorrConfig, seed: int, run: RunDir) -> int:
         for k in sorted(int(i) for i in warm_picks):
             labeled.append(datasets.reveal_action(split.pool, unrevealed[k]))
 
-        models = ModelSet(
-            world=train_world_model(labeled, encoder, wm_hyper, train_rng.spawn(1)[0]),
-            idm_vanilla=train_idm(labeled, 0.0, idm_hyper, train_rng.spawn(1)[0],
-                                  encoder=encoder),
-            idm_sparse=train_idm(labeled, config.sparsity_weight, idm_hyper,
-                                 train_rng.spawn(1)[0], encoder=encoder),
-            ensemble=train_ensemble(labeled, encoder, config.ensemble_size, wm_hyper,
-                                    train_rng.spawn(1)[0]),
-        )
+        # The world model is always trained: it scores the oracle truth.
+        models = ModelSet(world=train_world_model(labeled, encoder, wm_hyper, wm_rng))
+        if "idm_vanilla" in consulted:
+            models.idm_vanilla = train_idm(labeled, 0.0, idm_hyper, vanilla_rng,
+                                           encoder=encoder)
+        if "idm_sparse" in consulted:
+            models.idm_sparse = train_idm(labeled, config.sparsity_weight, idm_hyper,
+                                          sparse_rng, encoder=encoder)
+        if "ensemble" in consulted:
+            models.ensemble = train_ensemble(labeled, encoder, config.ensemble_size,
+                                             wm_hyper, ens_rng)
         remaining = split.pool.unrevealed_indices()
         picks = pick_rng.choice(
             len(remaining), size=min(config.n_candidates, len(remaining)), replace=False
         )
         candidates = [split.pool.items[remaining[int(i)]] for i in sorted(picks)]
-        models.prev_candidate_losses = {
-            c.tid: float(v)
-            for c, v in zip(candidates, _label_free_losses(wm0, idm0, candidates))
-        }
+        if progress:
+            models.prev_candidate_losses = {
+                c.tid: float(v)
+                for c, v in zip(candidates, _label_free_losses(wm0, idm0, candidates))
+            }
         oracle_scores = score_candidates("oracle", models, candidates)
         for strategy in config.strategies:
             # Only the non-cycle strategies draw a child generator; the random
@@ -572,6 +588,7 @@ def cmd_rank_corr(config: RankCorrConfig, seed: int, run: RunDir) -> int:
 
 def cmd_theory(config: TheoryConfig, seed: int, run: RunDir) -> int:
     failures: list[str] = []
+    started = time.perf_counter()
 
     lemma_rows = []
     for i, (D, n, nu) in enumerate(config.lemma.grid):
@@ -593,6 +610,7 @@ def cmd_theory(config: TheoryConfig, seed: int, run: RunDir) -> int:
         ("D", "n", "nu", "trials", "empirical", "theoretical", "rel_err", "low_trials"),
         lemma_rows,
     )
+    started = _section_timed("lemma", started)
 
     gap_rows = []
     g = config.gap
@@ -628,6 +646,7 @@ def cmd_theory(config: TheoryConfig, seed: int, run: RunDir) -> int:
                     f"gap cell d_s={report.d_s} n={report.n}: factorization audit"
                 )
     _write_csv(run.file("theory_gap.csv"), THEORY_COLUMNS, gap_rows)
+    started = _section_timed("gap", started)
 
     s = config.sweep
     sweep_rows = []
@@ -648,26 +667,32 @@ def cmd_theory(config: TheoryConfig, seed: int, run: RunDir) -> int:
          list(s.n_grid)),
     )
     for name, specs, n_grid in families:
+        reports = sweep_gap(
+            specs, n_grid, s.trials, substream(seed, "theory", "sweep-run", name),
+            check=False,
+        )
         try:
-            reports = sweep_gap(
-                specs, n_grid, s.trials, substream(seed, "theory", "sweep-run", name)
-            )
+            check_sweep(reports)
         except TheoryInvariantError as err:
             failures.append(f"sweep family {name}: {err}")
-            reports = sweep_gap(
-                specs, n_grid, s.trials,
-                substream(seed, "theory", "sweep-run", name), check=False,
-            )
         for report in reports:
             sweep_rows.append(
                 (name,) + _theory_row(report, int(report.trials < LOW_TRIALS))
             )
     _write_csv(run.file("theory_sweep.csv"), ("family",) + THEORY_COLUMNS, sweep_rows)
+    _section_timed("sweep", started)
 
     for message in failures:
         print(f"[theory] FAIL {message}", file=sys.stderr)
     print(f"[theory] wrote lemma/gap/sweep tables under {run.path}")
     return 1 if failures else 0
+
+
+def _section_timed(name: str, started: float) -> float:
+    """Report a theory section's seconds on stderr; returns the time now."""
+    now = time.perf_counter()
+    print(f"[theory] {name} section took {now - started:.2f} s", file=sys.stderr)
+    return now
 
 
 def _theory_row(report, low: int) -> tuple:

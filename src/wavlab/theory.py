@@ -40,6 +40,7 @@ __all__ = [
     "gamma_factors",
     "measure_gap",
     "sweep_gap",
+    "check_sweep",
     "coupled_inverse_whiteness",
 ]
 
@@ -106,9 +107,8 @@ def sample_forward_problem(spec: LinearGaussianSpec, n: int, rng: np.random.Gene
     """Whitened forward regression: X iid N(0,I), Y = X [A B]^T + noise."""
     if n < 1:
         raise ConfigError("n must be >= 1")
-    W = np.concatenate([spec.A, spec.B], axis=1)  # d_s x (d_s + d_a)
     X = rng.normal(size=(n, spec.d_s + spec.d_a))
-    Y = X @ W.T + spec.sigma_s * rng.normal(size=(n, spec.d_s))
+    Y, W = _forward_targets(spec, X, rng.normal(size=(n, spec.d_s)))
     return X, Y, W
 
 
@@ -117,28 +117,70 @@ def sample_inverse_problem(spec: LinearGaussianSpec, n: int, rng: np.random.Gene
     if n < 1:
         raise ConfigError("n must be >= 1")
     X = rng.normal(size=(n, 2 * spec.d_z))
-    Y = X @ spec.H.T + spec.sigma_a * rng.normal(size=(n, spec.d_a))
-    return X, Y, spec.H
+    Y, H = _inverse_targets(spec, X, rng.normal(size=(n, spec.d_a)))
+    return X, Y, H
+
+
+def _forward_targets(spec: LinearGaussianSpec, X: np.ndarray, noise: np.ndarray):
+    """(X [A B]^T + sigma_s noise, [A B]) for one design or a stack of designs."""
+    W = np.concatenate([spec.A, spec.B], axis=1)  # d_s x (d_s + d_a)
+    return X @ W.T + spec.sigma_s * noise, W
+
+
+def _inverse_targets(spec: LinearGaussianSpec, X: np.ndarray, noise: np.ndarray):
+    """(X H^T + sigma_a noise, H) for one design or a stack of designs."""
+    return X @ spec.H.T + spec.sigma_a * noise, spec.H
 
 
 def ols_fit(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Exact normal-equations least squares; rejects ill-posed designs.
 
-    Returns W of shape (D, q) with Y ~ X @ W. No silent pseudo-inverse:
-    n < D or condition number above 1e8 raises RankDeficientError.
+    Returns W of shape (D, q) with Y ~ X @ W. Stacks fit slice by slice:
+    X (..., n, D) and Y (..., n, q) give W (..., D, q). No silent
+    pseudo-inverse: n < D, or a condition number above 1e8 in any slice,
+    raises RankDeficientError naming the first such slice's value.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    n, D = X.shape
+    n, D = X.shape[-2:]
     if n < D:
         raise RankDeficientError(f"{n} samples cannot determine {D} coefficients")
-    G = X.T @ X
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
+    Xt = np.swapaxes(X, -1, -2)
+    G = Xt @ X
+    cond = np.ravel(np.linalg.cond(G))
+    bad = np.flatnonzero(~(cond <= MAX_CONDITION))  # NaN compares False: bad too
+    if len(bad):
         raise RankDeficientError(
-            f"normal equations condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}"
+            f"normal equations condition number {cond[bad[0]]:.3e} "
+            f"exceeds {MAX_CONDITION:.0e}"
         )
-    return np.linalg.solve(G, X.T @ Y)
+    return np.linalg.solve(G, Xt @ Y)
+
+
+# Trials are drawn and fitted in chunks whose draw block holds about this many
+# floats (512 KB): enough to spread numpy's per-call cost over many fits, and
+# small enough that memory does not grow with the trial count.
+_CHUNK_FLOATS = 1 << 16
+
+
+def _chunked_draws(rng: np.random.Generator, trials: int, *shapes: tuple):
+    """Yield (start, arrays) per chunk of trials; arrays stack each shape as
+    (chunk, *shape).
+
+    A generator's normal draws come out in one fixed sequence, so trial t gets
+    exactly the draws a per-trial loop calling ``rng.normal(size=shape)`` for
+    each shape in turn would have given it.
+    """
+    offsets = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+    per_trial = int(offsets[-1])
+    step = max(1, _CHUNK_FLOATS // per_trial)
+    for start in range(0, trials, step):
+        chunk = min(step, trials - start)
+        block = rng.normal(size=(chunk, per_trial))
+        yield start, [
+            block[:, lo:hi].reshape((chunk,) + shape)
+            for lo, hi, shape in zip(offsets, offsets[1:], shapes)
+        ]
 
 
 @dataclass(frozen=True)
@@ -164,14 +206,12 @@ def lemma_excess_risk(
         raise ConfigError(f"need n > D + 1, got n={n}, D={D}")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    total = 0.0
-    for _ in range(trials):
-        w_star = rng.normal(size=(D, 1))
-        X = rng.normal(size=(n, D))
-        y = X @ w_star + nu * rng.normal(size=(n, 1))
-        w_hat = ols_fit(X, y)
-        total += float(np.sum((w_hat - w_star) ** 2))
-    empirical = total / trials
+    errs = np.empty(trials)
+    for start, (w_star, X, noise) in _chunked_draws(rng, trials, (D, 1), (n, D), (n, 1)):
+        w_hat = ols_fit(X, X @ w_star + nu * noise)
+        errs[start:start + len(X)] = np.sum((w_hat - w_star) ** 2, axis=(1, 2))
+    # cumsum adds left to right, as a running total over the trials does.
+    empirical = float(np.cumsum(errs)[-1]) / trials
     theoretical = nu * nu * D / (n - D - 1)
     rel = abs(empirical - theoretical) / theoretical if theoretical > 0 else abs(empirical)
     return LemmaResult(
@@ -228,16 +268,24 @@ def measure_gap(
     inverse risk maps the coefficient error through B before the same norm.
     """
     factor_dim, factor_stoch, factor_sample = gamma_factors(spec, n)
+    d_fwd = spec.d_s + spec.d_a
     ef = np.empty(trials)
     ei = np.empty(trials)
-    for t in range(trials):
-        Xf, Yf, Wf = sample_forward_problem(spec, n, rng)
+    draws = _chunked_draws(
+        rng, trials, (n, d_fwd), (n, spec.d_s), (n, 2 * spec.d_z), (n, spec.d_a)
+    )
+    for start, (Xf, noise_f, Xi, noise_i) in draws:
+        stop = start + len(Xf)
+        Yf, Wf = _forward_targets(spec, Xf, noise_f)
         Wf_hat = ols_fit(Xf, Yf)
-        ef[t] = np.sum((Wf_hat.T - Wf) ** 2) / spec.d_s
-        Xi, Yi, Hi = sample_inverse_problem(spec, n, rng)
+        ef[start:stop] = np.sum(
+            (np.swapaxes(Wf_hat, 1, 2) - Wf) ** 2, axis=(1, 2)
+        ) / spec.d_s
+        Yi, Hi = _inverse_targets(spec, Xi, noise_i)
         Hi_hat = ols_fit(Xi, Yi)
-        ei[t] = np.sum((spec.B @ (Hi_hat.T - Hi)) ** 2) / spec.d_s
-    d_fwd = spec.d_s + spec.d_a
+        ei[start:stop] = np.sum(
+            (spec.B @ (np.swapaxes(Hi_hat, 1, 2) - Hi)) ** 2, axis=(1, 2)
+        ) / spec.d_s
     theo_ef = spec.sigma_s**2 * d_fwd / (n - d_fwd - 1)
     theo_ei = (
         spec.lam**2 * (spec.d_a / spec.d_s) * spec.sigma_a**2
@@ -260,15 +308,6 @@ def measure_gap(
     )
 
 
-def _check_bound_direction(report: GapReport) -> None:
-    if report.emp_EI > report.theo_EI_bound + 2 * report.se_EI:
-        raise TheoryInvariantError(
-            f"inverse risk {report.emp_EI:.6g} exceeds its bound "
-            f"{report.theo_EI_bound:.6g} by more than 2 standard errors "
-            f"(se={report.se_EI:.3g}) at d_s={report.d_s}, n={report.n}"
-        )
-
-
 def sweep_gap(
     spec_grid: Sequence[LinearGaussianSpec],
     n_grid: Sequence[int],
@@ -278,25 +317,39 @@ def sweep_gap(
 ) -> list[GapReport]:
     """Cartesian sweep over specs and sample sizes.
 
-    With ``check`` on, verifies in-process that the bound moves the right
-    way along each swept axis (up in the dimensionality and stochasticity
-    factors, down in n) and that the empirical ratio clears the bound up to
-    twice its Monte Carlo standard error.
+    With ``check`` on, the reports go through :func:`check_sweep` before they
+    are returned.
     """
     reports = [
         measure_gap(spec, n, trials, rng) for spec in spec_grid for n in n_grid
     ]
     if check:
-        for r in reports:
-            _check_bound_direction(r)
-            ratio_se = r.emp_ratio * (r.se_EF / r.emp_EF + r.se_EI / r.emp_EI)
-            if r.emp_ratio < r.gamma_bound - 2 * ratio_se:
-                raise TheoryInvariantError(
-                    f"empirical ratio {r.emp_ratio:.4g} falls short of the bound "
-                    f"{r.gamma_bound:.4g} at d_s={r.d_s}, n={r.n}"
-                )
-        _check_bound_monotonicity(reports)
+        check_sweep(reports)
     return reports
+
+
+def check_sweep(reports: Sequence[GapReport]) -> None:
+    """Raise TheoryInvariantError at the first violated invariant of a sweep.
+
+    Per report, in order: the inverse risk stays within its bound and the
+    empirical ratio clears the ratio bound, each up to twice its Monte Carlo
+    standard error. Then the bound must move the right way along each swept
+    axis (up in the dimensionality and stochasticity factors, down in n).
+    """
+    for r in reports:
+        if r.emp_EI > r.theo_EI_bound + 2 * r.se_EI:
+            raise TheoryInvariantError(
+                f"inverse risk {r.emp_EI:.6g} exceeds its bound "
+                f"{r.theo_EI_bound:.6g} by more than 2 standard errors "
+                f"(se={r.se_EI:.3g}) at d_s={r.d_s}, n={r.n}"
+            )
+        ratio_se = r.emp_ratio * (r.se_EF / r.emp_EF + r.se_EI / r.emp_EI)
+        if r.emp_ratio < r.gamma_bound - 2 * ratio_se:
+            raise TheoryInvariantError(
+                f"empirical ratio {r.emp_ratio:.4g} falls short of the bound "
+                f"{r.gamma_bound:.4g} at d_s={r.d_s}, n={r.n}"
+            )
+    _check_bound_monotonicity(reports)
 
 
 def _check_bound_monotonicity(reports: Sequence[GapReport]) -> None:

@@ -55,6 +55,7 @@ __all__ = [
     "ModelSet",
     "ExplorationConfig",
     "STRATEGIES",
+    "CONSULTED_MODELS",
     "group_distance",
     "wav_score_pool",
     "wav_score_env",
@@ -77,6 +78,16 @@ STRATEGIES = (
 )
 
 _WAV_STRATEGIES = ("wav-vanilla", "wav-sparse")
+
+# The ModelSet fields each strategy consults besides the world model, which
+# every strategy's round needs (it is evaluated, and it scores the oracle
+# reference).
+CONSULTED_MODELS = {
+    "uncertainty": ("idm_vanilla", "ensemble"),
+    "progress": ("idm_vanilla",),
+    "wav-vanilla": ("idm_vanilla",),
+    "wav-sparse": ("idm_sparse",),
+}
 
 
 @dataclass(frozen=True)
@@ -349,14 +360,15 @@ def _train_models(
 ) -> ModelSet:
     encoder = split.encoder()
     wm_rng, idm_rng, ens_rng = rng.spawn(3)
+    consulted = CONSULTED_MODELS.get(strategy, ())
     models = ModelSet(
         world=train_world_model(labeled, encoder, hyper=config.wm_hyper, rng=wm_rng)
     )
-    if strategy in ("uncertainty", "progress", "wav-vanilla"):
+    if "idm_vanilla" in consulted:
         models.idm_vanilla = train_idm(
             labeled, 0.0, hyper=config.idm_hyper, rng=idm_rng, encoder=encoder
         )
-    if strategy == "wav-sparse":
+    if "idm_sparse" in consulted:
         models.idm_sparse = train_idm(
             labeled,
             config.sparsity_weight,
@@ -364,7 +376,7 @@ def _train_models(
             rng=idm_rng,
             encoder=encoder,
         )
-    if strategy == "uncertainty":
+    if "ensemble" in consulted:
         models.ensemble = train_ensemble(
             labeled,
             encoder,
@@ -454,7 +466,10 @@ def run_exploration(
         if config.budget > 0:
             score_rng = rng.spawn(1)[0]
             scores = _strategy_scores(strategy, models, candidates, config, score_rng, round_no)
-            oracle_ref = baseline_scores("oracle", models, candidates, round=round_no)
+            # The oracle strategy's scores are the reference itself.
+            oracle_ref = scores if strategy == "oracle" else baseline_scores(
+                "oracle", models, candidates, round=round_no
+            )
             spear, kend = _rank_vs_oracle(scores, oracle_ref)
             acquired = select_top(scores, config.budget)
             for tid in acquired:

@@ -304,6 +304,45 @@ class TestRankCorr:
         assert len(srows) == 2 * 80
 
 
+    @staticmethod
+    def _run_counting(dataset, tmp_path, monkeypatch, name, strategies):
+        calls = {"train_world_model": 0, "train_idm": 0, "train_ensemble": 0}
+        for fn in calls:
+            def counted(*args, _fn=getattr(cli, fn), _name=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, fn, counted)
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({
+            "dataset": str(dataset), "strategies": strategies, "seeds": 2,
+            "n_candidates": 60, "warmup_budget": 20, "ensemble_size": 2,
+            "wm": {"epochs": 5, "batch_size": 32}, "idm": {"epochs": 20},
+        }))
+        out = tmp_path / name
+        assert run_cli(["rank-corr", "--config", config, "--seed", 13, "--out", out]) == 0
+        with open(next(out.glob("*/score_vs_error.csv"))) as fh:
+            rows = [row[1:] for row in csv.reader(fh)][1:]  # without run_id
+        return calls, rows
+
+    def test_trains_only_consulted_models(self, dataset, tmp_path, monkeypatch):
+        calls, _ = self._run_counting(dataset, tmp_path, monkeypatch, "r", ["random"])
+        # Per seed: the world model for the oracle truth, nothing else.
+        assert calls == {"train_world_model": 2, "train_idm": 0, "train_ensemble": 0}
+
+    def test_skipped_models_leave_generators_unchanged(self, dataset, tmp_path,
+                                                      monkeypatch):
+        calls, few = self._run_counting(dataset, tmp_path, monkeypatch, "few",
+                                        ["random", "wav-sparse"])
+        assert calls == {"train_world_model": 2, "train_idm": 2, "train_ensemble": 0}
+        calls, many = self._run_counting(
+            dataset, tmp_path, monkeypatch, "many",
+            ["random", "uncertainty", "progress", "wav-sparse"],
+        )
+        # Per seed: wm0 and the world model; idm0, vanilla and sparse.
+        assert calls == {"train_world_model": 4, "train_idm": 6, "train_ensemble": 2}
+        assert few == [row for row in many if row[0] in ("random", "wav-sparse")]
+
+
 class TestTlcmDemo:
     def test_writes_report_csv(self, tmp_path):
         out = tmp_path / "o"

@@ -1,11 +1,17 @@
 """Linear-Gaussian risk validation: closed forms, bounds, factorization."""
 
+import dataclasses
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from wavlab import theory
 from wavlab.errors import ConfigError, RankDeficientError, TheoryInvariantError
 from wavlab.theory import (
     LinearGaussianSpec,
+    check_sweep,
     coupled_inverse_whiteness,
     gamma_factors,
     lemma_excess_risk,
@@ -21,6 +27,34 @@ def spec_default(d_s=20, d_a=2, d_z=2, sigma_s=1.0, sigma_a=0.1, lam=1.0, seed=0
     return LinearGaussianSpec.default(
         d_s, d_a, d_z, sigma_s, sigma_a, lam, rng=np.random.default_rng(seed)
     )
+
+
+def lemma_loop(D, n, nu, trials, rng):
+    """Per-trial reference for lemma_excess_risk's empirical risk."""
+    total = 0.0
+    for _ in range(trials):
+        w_star = rng.normal(size=(D, 1))
+        X = rng.normal(size=(n, D))
+        w_hat = ols_fit(X, X @ w_star + nu * rng.normal(size=(n, 1)))
+        total += float(np.sum((w_hat - w_star) ** 2))
+    return total / trials
+
+
+def gap_loop(spec, n, trials, rng):
+    """Per-trial reference for measure_gap's forward and inverse risks."""
+    ef = np.empty(trials)
+    ei = np.empty(trials)
+    for t in range(trials):
+        Xf, Yf, Wf = sample_forward_problem(spec, n, rng)
+        ef[t] = np.sum((ols_fit(Xf, Yf).T - Wf) ** 2) / spec.d_s
+        Xi, Yi, Hi = sample_inverse_problem(spec, n, rng)
+        ei[t] = np.sum((spec.B @ (ols_fit(Xi, Yi).T - Hi)) ** 2) / spec.d_s
+    return ef, ei
+
+
+def chunk_trials(per_trial):
+    """Trials in one chunk of draws for ``per_trial`` draws per trial."""
+    return theory._CHUNK_FLOATS // per_trial
 
 
 class TestSpec:
@@ -100,6 +134,26 @@ class TestOlsFit:
         with pytest.raises(RankDeficientError):
             ols_fit(X, rng.normal(size=(20, 1)))
 
+    def test_stack_equals_slice_by_slice(self):
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(2, 5, 30, 4))
+        Y = rng.normal(size=(2, 5, 30, 3))
+        W = ols_fit(X, Y)
+        assert W.shape == (2, 5, 4, 3)
+        for i in range(2):
+            for j in range(5):
+                assert np.array_equal(W[i, j], ols_fit(X[i, j], Y[i, j]))
+
+    def test_stack_with_one_collinear_slice_rejected(self):
+        rng = np.random.default_rng(27)
+        X = rng.normal(size=(3, 20, 3))
+        X[1, :, 2] = X[1, :, 0]
+        cond = np.linalg.cond(X[1].T @ X[1])
+        with pytest.raises(RankDeficientError, match=re.escape(f"number {cond:.3e} ")):
+            ols_fit(X, rng.normal(size=(3, 20, 1)))
+        with pytest.raises(RankDeficientError, match="cannot determine"):
+            ols_fit(X[:, :2], rng.normal(size=(3, 2, 1)))
+
 
 class TestLemmaExcessRisk:
     def test_closed_form_at_5_30(self):
@@ -120,6 +174,13 @@ class TestLemmaExcessRisk:
     def test_sample_size_precondition(self):
         with pytest.raises(ConfigError):
             lemma_excess_risk(5, 6, 1.0, 10, np.random.default_rng(13))
+
+    @pytest.mark.parametrize("chunks", [0, 2], ids=["below-a-chunk", "three-chunks"])
+    def test_equals_per_trial_loop(self, chunks):
+        D, n, nu = 5, 30, 1.5
+        trials = chunks * chunk_trials(D + n * D + n) + 7
+        res = lemma_excess_risk(D, n, nu, trials, np.random.default_rng(28))
+        assert res.empirical == lemma_loop(D, n, nu, trials, np.random.default_rng(28))
 
 
 class TestMeasureGap:
@@ -168,6 +229,34 @@ class TestMeasureGap:
             gamma_factors(small, 8)
 
 
+class TestStackedGap:
+    @pytest.mark.parametrize("chunks", [0, 2], ids=["below-a-chunk", "three-chunks"])
+    @pytest.mark.parametrize("general_B", [False, True], ids=["default", "general-B"])
+    def test_equals_per_trial_loop(self, chunks, general_B):
+        spec = spec_default(d_s=10, d_a=3, d_z=2, sigma_s=0.7, sigma_a=0.2, lam=1.3)
+        if general_B:
+            spec = dataclasses.replace(spec, B=np.random.default_rng(29).normal(size=(10, 3)))
+        n = 40
+        trials = chunks * chunk_trials(n * (2 * spec.d_s + 2 * spec.d_a + 2 * spec.d_z)) + 5
+        r = measure_gap(spec, n, trials, np.random.default_rng(30))
+        ef, ei = gap_loop(spec, n, trials, np.random.default_rng(30))
+        got = [r.emp_EF, r.emp_EI, r.se_EF, r.se_EI]
+        want = [ef.mean(), ei.mean(), ef.std(ddof=1) / np.sqrt(trials),
+                ei.std(ddof=1) / np.sqrt(trials)]
+        assert np.array_equal(got, want)
+
+    def test_memory_stays_flat_in_trials(self):
+        # Drawing all 200 trials of this cell at once would take 21.8 MB.
+        spec = spec_default(d_s=30)
+        tracemalloc.start()
+        try:
+            measure_gap(spec, 200, 200, np.random.default_rng(31))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestSweepGap:
     def test_bound_monotonicity_and_direction(self):
         rng = np.random.default_rng(20)
@@ -195,9 +284,22 @@ class TestSweepGap:
         assert bounds[2] == pytest.approx(4 * bounds[1])
 
     def test_violations_raise(self):
-        rng = np.random.default_rng(25)
-        good = spec_default()
-        # A doctored report set cannot be produced through the public API, so
-        # check the guard by requesting an impossible sample size instead.
+        reports = sweep_gap([spec_default(d_s=ds, seed=21) for ds in (10, 16)], [60],
+                            400, np.random.default_rng(25))
+        check_sweep(reports)
+        first, second = reports
+        doctored = {
+            "inverse risk": [dataclasses.replace(first, emp_EI=10 * first.theo_EI_bound),
+                             second],
+            "falls short of the bound": [
+                dataclasses.replace(first, emp_ratio=first.gamma_bound / 10), second],
+            "not increasing in d_s": [
+                first, dataclasses.replace(second, gamma_bound=first.gamma_bound / 2)],
+        }
+        for message, bad in doctored.items():
+            with pytest.raises(TheoryInvariantError, match=message):
+                check_sweep(bad)
+
+    def test_impossible_sample_size_rejected(self):
         with pytest.raises(ConfigError):
-            sweep_gap([good], [10], 50, rng)
+            sweep_gap([spec_default()], [10], 50, np.random.default_rng(25))

@@ -290,6 +290,25 @@ class TestRunExploration:
         # denominator, so kendall dips just below one when losses tie.
         assert logs[0].kendall_vs_oracle >= 0.99
 
+    def test_oracle_scores_pool_once_per_round(self, small_split, monkeypatch):
+        # The oracle strategy's scores double as its rank reference.
+        from wavlab.models import WorldModel
+
+        rows = []
+        per_item_loss = WorldModel.per_item_loss
+
+        def counted(self, feats, actions, next_feats):
+            rows.append(len(feats))
+            return per_item_loss(self, feats, actions, next_feats)
+
+        monkeypatch.setattr(WorldModel, "per_item_loss", counted)
+        split = small_split.fresh_copy()
+        pool_size = len(split.pool.unrevealed_indices())
+        logs = run_exploration(split, "oracle", FAST, np.random.default_rng(12))
+        pool_rows = [r for r in rows if r > len(split.test)]
+        assert pool_rows == [pool_size - k * FAST.budget for k in range(FAST.rounds)]
+        assert all(log.spearman_vs_oracle == 1.0 for log in logs)
+
     def test_wav_sparse_runs_and_logs(self, small_split):
         split = small_split.fresh_copy()
         logs = run_exploration(split, "wav-sparse", FAST, np.random.default_rng(15))
