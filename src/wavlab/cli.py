@@ -53,10 +53,10 @@ from .verify import (
     DEFAULT_DISTANCE,
     STRATEGIES,
     ExplorationConfig,
-    ModelSet,
     _label_free_losses,
     run_exploration,
     score_candidates,
+    train_models,
 )
 
 ROUNDS_COLUMNS = (
@@ -383,6 +383,19 @@ def _resolved_hypers(config) -> tuple[TrainConfig, TrainConfig]:
     )
 
 
+def _exploration_config(config, **loop) -> ExplorationConfig:
+    """The training knobs of an explore or rank-corr config, plus ``loop`` fields."""
+    wm_hyper, idm_hyper = _resolved_hypers(config)
+    return ExplorationConfig(
+        ensemble_size=config.ensemble_size,
+        sparsity_weight=config.sparsity_weight,
+        distance=config.distance,
+        wm_hyper=wm_hyper,
+        idm_hyper=idm_hyper,
+        **loop,
+    )
+
+
 def cmd_train(config: TrainCmdConfig, seed: int, run: RunDir) -> int:
     if not config.dataset:
         raise ConfigError("train needs a 'dataset' path in the config")
@@ -427,33 +440,33 @@ def cmd_train(config: TrainCmdConfig, seed: int, run: RunDir) -> int:
     return 0
 
 
-def _explore_cell(args):
-    """One (strategy, seed index) exploration cell; used by the process pool."""
-    dataset, strategy, seed_index, global_seed, config_dict, model_dir = args
-    config = _from_dict(ExploreConfig, config_dict, "explore")
-    split = datasets.load(dataset).fresh_copy()
-    wm_hyper, idm_hyper = _resolved_hypers(config)
-    exploration = ExplorationConfig(
-        rounds=config.rounds,
-        budget=config.budget,
-        ensemble_size=config.ensemble_size,
-        sparsity_weight=config.sparsity_weight,
-        distance=config.distance,
-        wm_hyper=wm_hyper,
-        idm_hyper=idm_hyper,
-    )
+def _explore_cell(split, strategy, seed_index, seed, exploration, checkpoints, model_dir):
+    """One (strategy, seed index) exploration cell on a fresh copy of ``split``."""
     on_models = None
-    if config.checkpoints != "none":
+    if checkpoints != "none":
         def on_models(round_no, models):
-            if config.checkpoints == "final" and round_no != config.rounds:
+            if checkpoints == "final" and round_no != exploration.rounds:
                 return
             save_model(
                 models.world,
                 Path(model_dir) / f"{strategy}_s{seed_index}_r{round_no}_world.json",
             )
-    rng = substream(global_seed, "explore", strategy, seed_index)
-    logs = run_exploration(split, strategy, exploration, rng, on_models=on_models)
+    rng = substream(seed, "explore", strategy, seed_index)
+    logs = run_exploration(split.fresh_copy(), strategy, exploration, rng, on_models=on_models)
     return strategy, seed_index, logs
+
+
+# The split an explore worker process loaded through the pool initializer.
+_worker_split: Optional[datasets.ExperimentSplit] = None
+
+
+def _load_worker_split(dataset: str) -> None:
+    global _worker_split
+    _worker_split = datasets.load(dataset)
+
+
+def _worker_cell(cell):
+    return _explore_cell(_worker_split, *cell)
 
 
 def cmd_explore(config: ExploreConfig, seed: int, run: RunDir, jobs: int = 1) -> int:
@@ -467,19 +480,24 @@ def cmd_explore(config: ExploreConfig, seed: int, run: RunDir, jobs: int = 1) ->
     if config.checkpoints not in ("round", "final", "none"):
         raise ConfigError("checkpoints must be 'round', 'final', or 'none'")
 
+    # Loading here also reports a malformed split before any worker starts.
+    split = datasets.load(config.dataset)
+    exploration = _exploration_config(config, rounds=config.rounds, budget=config.budget)
     model_dir = run.path / "models"
     if config.checkpoints != "none":
         model_dir.mkdir(parents=True, exist_ok=True)
     cells = [
-        (config.dataset, strategy, seed_index, seed, _config_dict(config), str(model_dir))
+        (strategy, seed_index, seed, exploration, config.checkpoints, str(model_dir))
         for strategy in config.strategies
         for seed_index in range(config.seeds)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_explore_cell, cells))
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_load_worker_split, initargs=(config.dataset,)
+        ) as pool:
+            results = list(pool.map(_worker_cell, cells))
     else:
-        results = [_explore_cell(cell) for cell in cells]
+        results = [_explore_cell(split, *cell) for cell in cells]
 
     order = {s: i for i, s in enumerate(config.strategies)}
     results.sort(key=lambda r: (order[r[0]], r[1]))
@@ -503,7 +521,7 @@ def cmd_rank_corr(config: RankCorrConfig, seed: int, run: RunDir) -> int:
         raise ConfigError("rank-corr needs a 'dataset' path in the config")
     split_master = datasets.load(config.dataset)
     encoder = split_master.encoder()
-    wm_hyper, idm_hyper = _resolved_hypers(config)
+    training = _exploration_config(config)
     consulted = {m for s in config.strategies for m in CONSULTED_MODELS.get(s, ())}
     progress = "progress" in config.strategies
     corr_rows = []
@@ -518,8 +536,8 @@ def cmd_rank_corr(config: RankCorrConfig, seed: int, run: RunDir) -> int:
         # trained, so each model gets the same one whatever strategies run.
         wm0_rng, idm0_rng, wm_rng, vanilla_rng, sparse_rng, ens_rng = train_rng.spawn(6)
         if progress:
-            wm0 = train_world_model(labeled, encoder, wm_hyper, wm0_rng)
-            idm0 = train_idm(labeled, 0.0, idm_hyper, idm0_rng, encoder=encoder)
+            previous = train_models(("idm_vanilla",), labeled, encoder, training,
+                                    {"world": wm0_rng, "idm_vanilla": idm0_rng})
         unrevealed = split.pool.unrevealed_indices()
         warm_picks = warm_rng.choice(
             len(unrevealed), size=min(config.warmup_budget, len(unrevealed)),
@@ -529,16 +547,10 @@ def cmd_rank_corr(config: RankCorrConfig, seed: int, run: RunDir) -> int:
             labeled.append(datasets.reveal_action(split.pool, unrevealed[k]))
 
         # The world model is always trained: it scores the oracle truth.
-        models = ModelSet(world=train_world_model(labeled, encoder, wm_hyper, wm_rng))
-        if "idm_vanilla" in consulted:
-            models.idm_vanilla = train_idm(labeled, 0.0, idm_hyper, vanilla_rng,
-                                           encoder=encoder)
-        if "idm_sparse" in consulted:
-            models.idm_sparse = train_idm(labeled, config.sparsity_weight, idm_hyper,
-                                          sparse_rng, encoder=encoder)
-        if "ensemble" in consulted:
-            models.ensemble = train_ensemble(labeled, encoder, config.ensemble_size,
-                                             wm_hyper, ens_rng)
+        models = train_models(consulted, labeled, encoder, training, {
+            "world": wm_rng, "idm_vanilla": vanilla_rng, "idm_sparse": sparse_rng,
+            "ensemble": ens_rng,
+        })
         remaining = split.pool.unrevealed_indices()
         picks = pick_rng.choice(
             len(remaining), size=min(config.n_candidates, len(remaining)), replace=False
@@ -547,7 +559,8 @@ def cmd_rank_corr(config: RankCorrConfig, seed: int, run: RunDir) -> int:
         if progress:
             models.prev_candidate_losses = {
                 c.tid: float(v)
-                for c, v in zip(candidates, _label_free_losses(wm0, idm0, candidates))
+                for c, v in zip(candidates, _label_free_losses(
+                    previous.world, previous.idm_vanilla, candidates))
             }
         oracle_scores = score_candidates("oracle", models, candidates)
         for strategy in config.strategies:
@@ -667,10 +680,7 @@ def cmd_theory(config: TheoryConfig, seed: int, run: RunDir) -> int:
          list(s.n_grid)),
     )
     for name, specs, n_grid in families:
-        reports = sweep_gap(
-            specs, n_grid, s.trials, substream(seed, "theory", "sweep-run", name),
-            check=False,
-        )
+        reports = sweep_gap(specs, n_grid, s.trials, substream(seed, "theory", "sweep-run", name))
         try:
             check_sweep(reports)
         except TheoryInvariantError as err:

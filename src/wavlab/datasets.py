@@ -609,16 +609,29 @@ def save(split: ExperimentSplit, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_NONE = type(None)
+
+
+def _typed(obj, key: str, types: tuple, line: int):
+    """``obj[key]`` if its JSON type is one of ``types``, else ParseError at ``line``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParseError(f"missing key {key!r}", line=line)
+    value = obj[key]
+    if type(value) not in types:  # by exact type, so true/false is no integer
+        raise ParseError(f"key {key!r}: unexpected {type(value).__name__} {value!r}", line=line)
+    return value
+
+
 def _parse_record(obj: dict, enc: Encoder, line: int):
+    tid = _typed(obj, "id", (int,), line)
+    kind = _typed(obj, "kind", (str,), line)
+    meta = _typed(obj, "meta", (dict,), line)
+    task = _typed(meta, "task", (str, _NONE), line)
     try:
-        tid = obj["id"]
-        kind = obj["kind"]
-        action = Action[obj["a"].upper()]
-        state = enc.decode_indices(obj["s"])
-        next_state = enc.decode_indices(obj["s_next"])
-        meta = obj["meta"]
-        fo = _fo_parse(meta.get("front_object"))
-        task = meta.get("task")
+        action = Action[_typed(obj, "a", (str,), line).upper()]
+        state = enc.decode_indices(_typed(obj, "s", (list,), line))
+        next_state = enc.decode_indices(_typed(obj, "s_next", (list,), line))
+        fo = _fo_parse(_typed(meta, "front_object", (str, _NONE), line))
     except (KeyError, ValueError, TypeError, IndexError) as err:
         raise ParseError(f"bad record: {err}", line=line) from err
     features = enc.encode(state)
@@ -651,27 +664,32 @@ def load(path) -> ExperimentSplit:
         header = json.loads(lines[0])
     except json.JSONDecodeError as err:
         raise ParseError(f"bad header: {err.msg}", line=1) from err
-    if not isinstance(header, dict) or header.get("schema") != SCHEMA:
-        raise UnsupportedVersionError(
-            f"expected schema {SCHEMA!r}, got {header.get('schema')!r}", line=1
-        )
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != SCHEMA:
+        raise UnsupportedVersionError(f"expected schema {SCHEMA!r}, got {schema!r}", line=1)
     if header.get("version") != SCHEMA_VERSION:
         raise UnsupportedVersionError(
             f"unsupported version {header.get('version')!r}", line=1
         )
+    env_obj = _typed(header, "env", (dict,), 1)
+    env_fields = {k: _typed(env_obj, k, (int,), 1) for k in env_obj}
+    counts = _typed(header, "counts", (dict,), 1)
+    sizes = [_typed(counts, k, (int,), 1) for k in ("seed_labeled", "pool", "test", "video")]
+    if min(sizes) < 0:
+        raise ParseError(f"bad header: negative partition size in {counts!r}", line=1)
+    revealed = header.get("revealed", [])
+    if type(revealed) is not list or any(type(i) is not int for i in revealed):
+        raise ParseError(f"key 'revealed': expected a list of integers, got {revealed!r}", line=1)
     try:
-        env = EnvConfig(**header["env"])
-        counts = header["counts"]
-        sizes = [counts[k] for k in ("seed_labeled", "pool", "test", "video")]
-        revealed = header.get("revealed", [])
-    except (KeyError, TypeError) as err:
+        env = EnvConfig(**env_fields)
+        enc = env.encoder()
+    except (TypeError, ConfigError) as err:
         raise ParseError(f"bad header: {err}", line=1) from err
     if len(lines) - 1 != sum(sizes):
         raise ParseError(
             f"header promises {sum(sizes)} records but file has {len(lines) - 1}",
             line=len(lines),
         )
-    enc = env.encoder()
     records = []
     for i, text in enumerate(lines[1:], start=2):
         try:
@@ -680,20 +698,24 @@ def load(path) -> ExperimentSplit:
             raise ParseError(f"bad record: {err.msg}", line=i) from err
         records.append(_parse_record(obj, enc, i))
     bounds = np.cumsum([0] + sizes)
-    seed_part = records[bounds[0]:bounds[1]]
-    pool_part = records[bounds[1]:bounds[2]]
-    test_part = records[bounds[2]:bounds[3]]
-    video_part = records[bounds[3]:bounds[4]]
-    for part, want in ((seed_part, LabeledTransition), (pool_part, UnlabeledTransition),
-                       (test_part, LabeledTransition), (video_part, UnlabeledTransition)):
-        for rec in part:
+    parts = []
+    for p, want in enumerate(
+        (LabeledTransition, UnlabeledTransition, LabeledTransition, UnlabeledTransition)
+    ):
+        parts.append(records[bounds[p]:bounds[p + 1]])
+        for k, rec in enumerate(parts[-1]):
             if not isinstance(rec, want):
                 raise ParseError(
-                    f"record id {rec.tid} has the wrong kind for its partition"
+                    f"record id {rec.tid} has the wrong kind for its partition",
+                    line=2 + int(bounds[p]) + k,
                 )
+    seed_part, pool_part, test_part, video_part = parts
     pool = ExplorationPool(pool_part)
-    for index in revealed:
-        reveal_action(pool, index)
+    try:
+        for index in revealed:
+            reveal_action(pool, index)
+    except RevealError as err:
+        raise ParseError(f"bad header: revealed {err}", line=1) from err
     return ExperimentSplit(
         seed_labeled=seed_part, pool=pool, test=test_part, video=video_part, env=env
     )

@@ -13,12 +13,12 @@ interaction features:
 - :class:`WorldModel`: one linear map per action from ``[features(s), 1]``
   to the output group logits, i.e. a linear head over the sparse product
   ``features(s) x onehot(a)``.
-- :class:`InverseModel`: a 7-way classifier on ``[m*s, m*s', pairs, 1]``
+- :class:`InverseModel`: a 7-way classifier on ``[m*s, m*s' - m*s, pairs, 1]``
   where ``m = sigmoid(gates)`` is a learned per-feature mask shared by both
   states and ``pairs`` holds, for every one-hot group, the product of the
-  group's masked s-feature with its masked s'-feature (a per-group
-  transition table). The vanilla configuration freezes the mask at one and
-  uses no sparsity penalty.
+  group's masked s-feature with its masked s'-feature, in one transition
+  table per family of groups. The mask is learned exactly when the sparsity
+  weight is positive; at weight 0 there are no gates and the mask is one.
 - :class:`SubgoalGenerator`: nonparametric prior over plausible successor
   states, indexed by a local context key and fit on action-free transitions.
 - :class:`Ensemble`: world models trained on different seeds/bootstraps;
@@ -297,69 +297,57 @@ def persistence_world_model(encoder: Encoder, gain: float = 12.0) -> WorldModel:
 
 @dataclass(frozen=True)
 class _PairStructure:
-    """Transition-pair feature layout.
+    """Transition-pair feature layout: one table of (class, next class) columns.
 
-    Singleton groups (direction, position, hands) each get a full
-    per-(class, next class) pair table. Per-cell families share one
-    position-pooled pair-count table, normalized by the instance count, so
-    an interaction observed at one cell informs every other cell and the
-    model cannot memorize interactions positionally.
+    Groups whose names share a first element form a family, which owns one
+    block of ``size * size`` columns; each member adds its pair there scaled
+    by 1 / member count. A singleton group (direction, position, hands) thus
+    gets a full pair table, while per-cell families share a position-pooled
+    one, so an interaction seen at one cell informs every other cell and the
+    model cannot memorize it positionally. Singleton families come first.
     """
 
     group_start: np.ndarray  # (G,) feature offset of each group
     group_size: np.ndarray  # (G,)
-    pair_groups: np.ndarray  # indices of singleton groups with pair tables
-    pair_offset: np.ndarray  # (G,) pair column base per group (-1 if pooled)
-    n_pairs: int
-    pooled_groups: np.ndarray  # indices of groups that contribute to pooling
-    pooled_base: np.ndarray  # (G,) pooled column base per group (-1 if paired)
-    pooled_scale: np.ndarray  # (G,) 1 / instance count of the group's family
-    n_pooled: int
+    base: np.ndarray  # (G,) first pair column of the group's family
+    scale: np.ndarray  # (G,) 1 / member count of the group's family
+    n_columns: int
+
+    @property
+    def input_width(self) -> int:
+        """Columns of the inverse model's input ``[m*s, m*s' - m*s, pairs, 1]``."""
+        return 2 * int(self.group_size.sum()) + self.n_columns + 1
 
 
 def _pair_structure(encoder: Encoder) -> _PairStructure:
-    G = len(encoder.groups)
-    starts, sizes = encoder.group_starts, encoder.group_sizes
-
     families: dict[str, list[int]] = {}
     for gi, g in enumerate(encoder.groups):
         families.setdefault(g.name[0], []).append(gi)
 
-    pair_offset = np.full(G, -1, dtype=np.intp)
-    pooled_base = np.full(G, -1, dtype=np.intp)
-    pooled_scale = np.zeros(G)
-    n_pairs = 0
-    n_pooled = 0
-    for members in families.values():
-        size = int(sizes[members[0]])
-        if len(members) == 1:
-            pair_offset[members[0]] = n_pairs
-            n_pairs += size * size
-        else:
-            for gi in members:
-                pooled_base[gi] = n_pooled
-                pooled_scale[gi] = 1.0 / len(members)
-            n_pooled += size * size
-    return _PairStructure(
-        group_start=starts,
-        group_size=sizes,
-        pair_groups=np.flatnonzero(pair_offset >= 0),
-        pair_offset=pair_offset,
-        n_pairs=n_pairs,
-        pooled_groups=np.flatnonzero(pooled_base >= 0),
-        pooled_base=pooled_base,
-        pooled_scale=pooled_scale,
-        n_pooled=n_pooled,
-    )
+    G = len(encoder.groups)
+    base = np.zeros(G, dtype=np.intp)
+    scale = np.zeros(G)
+    n_columns = 0
+    # A stable sort: singleton families first, each kind in group order.
+    for members in sorted(families.values(), key=lambda m: len(m) > 1):
+        base[members] = n_columns
+        scale[members] = 1.0 / len(members)
+        n_columns += int(encoder.group_sizes[members[0]]) ** 2
+    return _PairStructure(encoder.group_starts, encoder.group_sizes, base, scale, n_columns)
 
 
-def _pair_indices(ps: _PairStructure, cls_s: np.ndarray, cls_s2: np.ndarray):
-    """Active singleton-pair columns and their feature indices, all (n, Gp)."""
-    pg = ps.pair_groups
-    cols = ps.pair_offset[pg] + cls_s[:, pg] * ps.group_size[pg] + cls_s2[:, pg]
-    i_idx = ps.group_start[pg] + cls_s[:, pg]
-    j_idx = ps.group_start[pg] + cls_s2[:, pg]
-    return cols, i_idx, j_idx
+def _pair_columns(ps: _PairStructure, cls_s: np.ndarray, cls_s2: np.ndarray):
+    """Active pair columns and the feature indices of both states, all (n, G)."""
+    cols = ps.base + cls_s * ps.group_size + cls_s2
+    return cols, ps.group_start + cls_s, ps.group_start + cls_s2
+
+
+def _row_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over each row, computed in place."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 @dataclass(eq=False)
@@ -392,50 +380,32 @@ class InverseModel:
     def inputs(self, feats: np.ndarray, next_feats: np.ndarray) -> np.ndarray:
         feats = np.atleast_2d(feats)
         next_feats = np.atleast_2d(next_feats)
-        cls_s = self.encoder.group_argmax(feats)
-        cls_s2 = self.encoder.group_argmax(next_feats)
-        return _idm_inputs(self.mask, feats, next_feats, cls_s, cls_s2, self._pairs)
+        columns = _pair_columns(
+            self._pairs, self.encoder.group_argmax(feats), self.encoder.group_argmax(next_feats)
+        )
+        return _idm_inputs(self.mask, feats, next_feats, columns, self._pairs)
 
     def predict_proba(self, feats: np.ndarray, next_feats: np.ndarray) -> np.ndarray:
-        logits = self.inputs(feats, next_feats) @ self.weights
-        logits -= logits.max(axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
-        return logits
+        return _row_softmax(self.inputs(feats, next_feats) @ self.weights)
 
     def infer_batch(self, feats: np.ndarray, next_feats: np.ndarray):
         probs = self.predict_proba(np.atleast_2d(feats), np.atleast_2d(next_feats))
         return probs.argmax(axis=1), probs
 
 
-def _pooled_indices(ps: _PairStructure, cls_s: np.ndarray, cls_s2: np.ndarray):
-    """Active pooled columns and their feature indices, all (n, Gq)."""
-    pg = ps.pooled_groups
-    cols = ps.pooled_base[pg] + cls_s[:, pg] * ps.group_size[pg] + cls_s2[:, pg]
-    i_idx = ps.group_start[pg] + cls_s[:, pg]
-    j_idx = ps.group_start[pg] + cls_s2[:, pg]
-    return cols, i_idx, j_idx
-
-
-def _idm_inputs(mask, feats, next_feats, cls_s, cls_s2, ps: _PairStructure) -> np.ndarray:
-    """[m*s, m*s' - m*s, singleton pairs, pooled pairs, 1].
+def _idm_inputs(mask, feats, next_feats, columns, ps: _PairStructure) -> np.ndarray:
+    """[m*s, m*s' - m*s, pairs, 1] for the ``columns`` of :func:`_pair_columns`.
 
     The second block is the change in the masked features, an invertible
     reparameterization of the raw pair that concentrates the transition
     signal in the few features that differ.
     """
-    n, d = feats.shape
-    rows = np.arange(n)[:, None]
-    cols, i_idx, j_idx = _pair_indices(ps, cls_s, cls_s2)
-    pairs = np.zeros((n, ps.n_pairs))
-    pairs[rows, cols] = mask[i_idx] * mask[j_idx]
-    qcols, qi, qj = _pooled_indices(ps, cls_s, cls_s2)
-    pooled = np.zeros((n, ps.n_pooled))
-    np.add.at(pooled, (rows, qcols), mask[qi] * mask[qj] * ps.pooled_scale[ps.pooled_groups])
+    n = feats.shape[0]
+    cols, i_idx, j_idx = columns
+    pairs = np.zeros((n, ps.n_columns))
+    np.add.at(pairs, (np.arange(n)[:, None], cols), mask[i_idx] * mask[j_idx] * ps.scale)
     masked = feats * mask
-    return np.concatenate(
-        [masked, next_feats * mask - masked, pairs, pooled, np.ones((n, 1))], axis=1
-    )
+    return np.concatenate([masked, next_feats * mask - masked, pairs, np.ones((n, 1))], axis=1)
 
 
 def infer_action(idm: InverseModel, s_features: np.ndarray, next_features: np.ndarray):
@@ -450,6 +420,7 @@ def infer_action(idm: InverseModel, s_features: np.ndarray, next_features: np.nd
 def _idm_loss_and_grad(
     W: np.ndarray,
     gates: Optional[np.ndarray],
+    learn_gates: bool,
     sparsity_weight: float,
     feats: np.ndarray,
     next_feats: np.ndarray,
@@ -457,46 +428,32 @@ def _idm_loss_and_grad(
     cls_s2: np.ndarray,
     targets: np.ndarray,
     ps: _PairStructure,
-    frozen_mask: Optional[np.ndarray] = None,
 ):
     """Loss = action cross-entropy + sparsity_weight * mean(mask).
 
-    ``gates`` enables the mask gradient; a ``frozen_mask`` applies a fixed
-    mask without one (the warm-up phase).
+    The mask is ``sigmoid(gates)``, or all ones when ``gates`` is None. The
+    gate gradient is None unless ``learn_gates``.
     """
     n, d = feats.shape
-    if gates is not None:
-        m = _sigmoid(gates)
-    elif frozen_mask is not None:
-        m = frozen_mask
-    else:
-        m = np.ones(d)
-    X = _idm_inputs(m, feats, next_feats, cls_s, cls_s2, ps)
-    logits = X @ W
-    logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    probs = expl / expl.sum(axis=1, keepdims=True)
+    m = np.ones(d) if gates is None else _sigmoid(gates)
+    columns = _pair_columns(ps, cls_s, cls_s2)
+    X = _idm_inputs(m, feats, next_feats, columns, ps)
+    probs = _row_softmax(X @ W)
     ce = float(-np.log(np.maximum((probs * targets).sum(axis=1), 1e-300)).mean())
     loss = ce + sparsity_weight * float(m.mean())
     dlogits = (probs - targets) / n
     dW = X.T @ dlogits
-    dgates = None
-    if gates is not None:
-        dX = dlogits @ W.T
-        dm = (dX[:, :d] * feats).sum(axis=0)
-        dm += (dX[:, d : 2 * d] * (next_feats - feats)).sum(axis=0)
-        rows = np.arange(n)[:, None]
-        cols, i_idx, j_idx = _pair_indices(ps, cls_s, cls_s2)
-        dpairs = dX[rows, 2 * d + cols]
-        np.add.at(dm, i_idx, dpairs * m[j_idx])
-        np.add.at(dm, j_idx, dpairs * m[i_idx])
-        qcols, qi, qj = _pooled_indices(ps, cls_s, cls_s2)
-        dpooled = dX[rows, 2 * d + ps.n_pairs + qcols] * ps.pooled_scale[ps.pooled_groups]
-        np.add.at(dm, qi, dpooled * m[qj])
-        np.add.at(dm, qj, dpooled * m[qi])
-        dm += sparsity_weight / d
-        dgates = dm * m * (1.0 - m)
-    return loss, dW, dgates
+    if not learn_gates:
+        return loss, dW, None
+    dX = dlogits @ W.T
+    dm = (dX[:, :d] * feats).sum(axis=0)
+    dm += (dX[:, d : 2 * d] * (next_feats - feats)).sum(axis=0)
+    cols, i_idx, j_idx = columns
+    dpairs = dX[np.arange(n)[:, None], 2 * d + cols] * ps.scale
+    np.add.at(dm, i_idx, dpairs * m[j_idx])
+    np.add.at(dm, j_idx, dpairs * m[i_idx])
+    dm += sparsity_weight / d
+    return loss, dW, dm * m * (1.0 - m)
 
 
 def train_idm(
@@ -505,11 +462,10 @@ def train_idm(
     hyper: Optional[TrainConfig] = None,
     rng: Optional[np.random.Generator] = None,
     encoder: Optional[Encoder] = None,
-    learn_mask: Optional[bool] = None,
 ) -> InverseModel:
-    """Fit the action classifier; ``learn_mask`` defaults to sparsity_weight > 0.
+    """Fit the action classifier; the mask is learned exactly when sparsity_weight > 0.
 
-    The vanilla configuration (weight 0, frozen unit mask) is a plain softmax
+    The vanilla configuration (weight 0, no gates) is a plain softmax
     classifier on the unmasked pair features.
     """
     if not data:
@@ -521,8 +477,6 @@ def train_idm(
     if encoder is None:
         t0 = data[0]
         encoder = Encoder(t0.state.width, t0.state.height, t0.state.floor_palette)
-    if learn_mask is None:
-        learn_mask = sparsity_weight > 0
 
     S, A, S2 = _training_matrices(data)
     T = np.zeros((len(data), N_ACTIONS))
@@ -532,30 +486,25 @@ def train_idm(
 
     d = encoder.n_features
     ps = _pair_structure(encoder)
-    W = rng.normal(0.0, hyper.init_scale, size=(2 * d + ps.n_pairs + ps.n_pooled + 1, N_ACTIONS))
-    gates = np.full(d, float(hyper.gate_init)) if learn_mask else None
-    model = InverseModel(
-        encoder=encoder,
-        weights=W,
-        gate_logits=gates,
-        sparsity_weight=sparsity_weight,
-        hyper=hyper,
-    )
+    W = rng.normal(0.0, hyper.init_scale, size=(ps.input_width, N_ACTIONS))
+    gates = np.full(d, float(hyper.gate_init)) if sparsity_weight > 0 else None
+    model = InverseModel(encoder=encoder, weights=W, gate_logits=gates,
+                         sparsity_weight=sparsity_weight, hyper=hyper)
     gate_lr = hyper.resolved_gate_lr(d)
     warmup_epochs = int(np.ceil(hyper.gate_warmup_frac * hyper.epochs))
 
     for epoch in range(hyper.epochs):
         order = rng.permutation(len(data))
         epoch_losses = []
-        gates_active = learn_mask and epoch >= warmup_epochs
+        # The gates stay frozen through the warm-up epochs.
+        learn_gates = gates is not None and epoch >= warmup_epochs
         for batch in _batches(order, hyper.batch_size):
             loss, dW, dgates = _idm_loss_and_grad(
-                W, gates if gates_active else None, sparsity_weight,
+                W, gates, learn_gates, sparsity_weight,
                 S[batch], S2[batch], CS[batch], CS2[batch], T[batch], ps,
-                frozen_mask=None if gates_active or gates is None else _sigmoid(gates),
             )
             W -= hyper.learning_rate * dW
-            if dgates is not None:
+            if learn_gates:
                 gates -= gate_lr * dgates
             epoch_losses.append(loss)
         epoch_loss = float(np.mean(epoch_losses))
@@ -616,10 +565,11 @@ def disagreement(ens: Ensemble, s_features: np.ndarray, action: Action) -> float
 def disagreement_batch(ens: Ensemble, feats: np.ndarray, actions) -> np.ndarray:
     stacked = np.stack([m.predict_proba(feats, actions) for m in ens.members])
     var = stacked.var(axis=0)
-    encoder = ens.members[0].encoder
-    per_group = np.zeros((feats.shape[0], encoder.n_groups))
-    for gi, g in enumerate(encoder.groups):
-        per_group[:, gi] = var[:, g.start : g.stop].mean(axis=1)
+    n = feats.shape[0]
+    per_group = np.concatenate([
+        var[:, start:stop].reshape(n, count, size).mean(axis=2)
+        for start, stop, count, size in ens.members[0].encoder.run_slices
+    ], axis=1)
     return per_group.mean(axis=1)
 
 
@@ -1012,8 +962,7 @@ def _model_from_payload(obj, where: str = ""):
             hyper=hyper,
             loss_curve=_loss_curve_from(obj, where),
         )
-    ps = _pair_structure(encoder)
-    width = 2 * d + ps.n_pairs + ps.n_pooled + 1
+    width = _pair_structure(encoder).input_width
     gates = None
     if _key(obj, "gate_logits", where, (dict, type(None))) is not None:
         gates = _unpack(obj, "gate_logits", where, (d,))

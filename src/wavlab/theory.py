@@ -313,19 +313,9 @@ def sweep_gap(
     n_grid: Sequence[int],
     trials: int,
     rng: np.random.Generator,
-    check: bool = True,
 ) -> list[GapReport]:
-    """Cartesian sweep over specs and sample sizes.
-
-    With ``check`` on, the reports go through :func:`check_sweep` before they
-    are returned.
-    """
-    reports = [
-        measure_gap(spec, n, trials, rng) for spec in spec_grid for n in n_grid
-    ]
-    if check:
-        check_sweep(reports)
-    return reports
+    """Cartesian sweep over specs and sample sizes; :func:`check_sweep` audits it."""
+    return [measure_gap(spec, n, trials, rng) for spec in spec_grid for n in n_grid]
 
 
 def check_sweep(reports: Sequence[GapReport]) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -63,6 +63,7 @@ __all__ = [
     "select_top",
     "run_exploration",
     "score_candidates",
+    "train_models",
     "DEFAULT_DISTANCE",
 ]
 
@@ -81,7 +82,7 @@ _WAV_STRATEGIES = ("wav-vanilla", "wav-sparse")
 
 # The ModelSet fields each strategy consults besides the world model, which
 # every strategy's round needs (it is evaluated, and it scores the oracle
-# reference).
+# reference). :func:`train_models` trains exactly these.
 CONSULTED_MODELS = {
     "uncertainty": ("idm_vanilla", "ensemble"),
     "progress": ("idm_vanilla",),
@@ -351,38 +352,36 @@ class ExplorationConfig:
     idm_hyper: TrainConfig = field(default_factory=lambda: DEFAULT_IDM_HYPER)
 
 
-def _train_models(
-    strategy: str,
+def train_models(
+    consulted: Collection[str],
     labeled: Sequence[LabeledTransition],
-    split: ExperimentSplit,
+    encoder: Encoder,
     config: ExplorationConfig,
-    rng: np.random.Generator,
+    rngs: Mapping[str, np.random.Generator],
 ) -> ModelSet:
-    encoder = split.encoder()
-    wm_rng, idm_rng, ens_rng = rng.spawn(3)
-    consulted = CONSULTED_MODELS.get(strategy, ())
+    """The world model plus each ``consulted`` :class:`ModelSet` field.
+
+    ``rngs`` maps ``"world"`` and every consulted field to the generator
+    its model trains on.
+    """
     models = ModelSet(
-        world=train_world_model(labeled, encoder, hyper=config.wm_hyper, rng=wm_rng)
+        world=train_world_model(labeled, encoder, hyper=config.wm_hyper, rng=rngs["world"])
     )
     if "idm_vanilla" in consulted:
         models.idm_vanilla = train_idm(
-            labeled, 0.0, hyper=config.idm_hyper, rng=idm_rng, encoder=encoder
+            labeled, 0.0, hyper=config.idm_hyper, rng=rngs["idm_vanilla"], encoder=encoder
         )
     if "idm_sparse" in consulted:
         models.idm_sparse = train_idm(
             labeled,
             config.sparsity_weight,
             hyper=config.idm_hyper,
-            rng=idm_rng,
+            rng=rngs["idm_sparse"],
             encoder=encoder,
         )
     if "ensemble" in consulted:
         models.ensemble = train_ensemble(
-            labeled,
-            encoder,
-            config.ensemble_size,
-            hyper=config.wm_hyper,
-            rng=ens_rng,
+            labeled, encoder, config.ensemble_size, hyper=config.wm_hyper, rng=rngs["ensemble"]
         )
     return models
 
@@ -453,7 +452,16 @@ def run_exploration(
         )
     index_of = {pool.items[i].tid: i for i in range(len(pool.items))}
     labeled = list(split.seed_labeled)
-    models = _train_models(strategy, labeled, split, config, rng.spawn(1)[0])
+    encoder = split.encoder()
+
+    def retrain() -> ModelSet:
+        # Both inverse models share one generator; no strategy consults both.
+        wm_rng, idm_rng, ens_rng = rng.spawn(1)[0].spawn(3)
+        rngs = {"world": wm_rng, "idm_vanilla": idm_rng, "idm_sparse": idm_rng,
+                "ensemble": ens_rng}
+        return train_models(CONSULTED_MODELS.get(strategy, ()), labeled, encoder, config, rngs)
+
+    models = retrain()
     test_loss, test_acc = _evaluate(models.world, split.test)
 
     logs: list[RoundLog] = []
@@ -476,7 +484,7 @@ def run_exploration(
                 labeled.append(reveal_action(pool, index_of[tid]))
         pre_loss, pre_acc = test_loss, test_acc
         if acquired:
-            models = _train_models(strategy, labeled, split, config, rng.spawn(1)[0])
+            models = retrain()
             if strategy == "progress":
                 remaining = [pool.items[i] for i in pool.unrevealed_indices()]
                 losses = _label_free_losses(models.world, models.idm_vanilla, remaining)

@@ -6,9 +6,17 @@ so the suite trains each configuration once.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wavlab.datasets import EnvConfig, SplitConfig, build_split, collect_task_play
 from wavlab.models import TrainConfig, train_idm, train_world_model
+
+
+# Property tests draw the same small set of examples on every run and keep no
+# example database, so the suite stays deterministic and fast.
+settings.register_profile("wavlab", derandomize=True, deadline=None, max_examples=60,
+                          database=None)
+settings.load_profile("wavlab")
 
 
 SMALL_ENV = EnvConfig(width=6, height=6, n_objects=4, n_noisy_floors=0, horizon=40)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavlab import cli
+from wavlab import cli, verify
 from wavlab.datasets import load
 
 
@@ -185,6 +185,18 @@ class TestExplore:
         config.write_text(json.dumps(small_explore_config("nowhere.wavsplit")))
         assert run_cli(["explore", "--config", config, "--out", tmp_path / "o"]) == 2
 
+    def test_split_loaded_once_per_run(self, dataset, tmp_path, monkeypatch):
+        loads = []
+        real_load = cli.datasets.load
+        monkeypatch.setattr(
+            cli.datasets, "load", lambda path: loads.append(path) or real_load(path)
+        )
+        config = tmp_path / "e.json"
+        config.write_text(json.dumps(
+            small_explore_config(dataset, strategies=["random"], seeds=2)))
+        assert run_cli(["explore", "--config", config, "--seed", 5, "--out", tmp_path / "o"]) == 0
+        assert loads == [str(dataset)]
+
     def test_jobs_flag_matches_serial(self, dataset, tmp_path):
         config = tmp_path / "e.json"
         config.write_text(json.dumps(small_explore_config(dataset, seeds=2)))
@@ -308,10 +320,11 @@ class TestRankCorr:
     def _run_counting(dataset, tmp_path, monkeypatch, name, strategies):
         calls = {"train_world_model": 0, "train_idm": 0, "train_ensemble": 0}
         for fn in calls:
-            def counted(*args, _fn=getattr(cli, fn), _name=fn, **kwargs):
+            def counted(*args, _fn=getattr(verify, fn), _name=fn, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(cli, fn, counted)
+            # rank-corr trains through verify.train_models.
+            monkeypatch.setattr(verify, fn, counted)
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps({
             "dataset": str(dataset), "strategies": strategies, "seeds": 2,

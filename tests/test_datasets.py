@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from wavlab.datasets import (
@@ -289,3 +290,90 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="line 5"):
             load(path)
+
+    @pytest.mark.parametrize("line, keys, value", [
+        (5, ("a",), 5),
+        (5, ("meta",), []),
+        (5, ("meta", "front_object"), 5),
+        (5, ("id",), "x"),
+        (5, ("meta", "task"), 7),
+        (1, ("revealed",), ["0"]),
+        (1, ("env", "width"), "5"),
+        (1, ("counts", "pool"), "10"),
+    ], ids=["action", "meta", "front-object", "id", "task", "revealed", "width", "count"])
+    def test_mistyped_field_reports_line(self, small_split, tmp_path, line, keys, value):
+        path = tmp_path / "split.wavsplit"
+        save(small_split, path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[line - 1])
+        *parents, last = keys
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        lines[line - 1] = json.dumps(obj, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            load(path)
+
+
+# Any JSON value a mutation may put in place of another. Integers stay small
+# so a mutated grid size builds a small encoder.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 60) | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a parsed JSON value, the value itself first."""
+    yield prefix
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def tiny_split_file(tmp_path_factory):
+    env = EnvConfig(width=5, height=5, n_objects=3, n_noisy_floors=1, horizon=30)
+    source = collect_task_play(env, 300, np.random.default_rng(10))
+    split = build_split(source, SplitConfig(seed_size=4, pool_size=5, test_size=7,
+                                            video_size=3), np.random.default_rng(10), env)
+    reveal_action(split.pool, 1)
+    path = tmp_path_factory.mktemp("fuzz") / "split.wavsplit"
+    save(split, path)
+    return path
+
+
+@given(data=st.data())
+def test_mutated_line_fails_on_that_line_or_loads(tiny_split_file, data):
+    """Mutate one field of one line: loading raises ParseError naming that line
+    (any line for the header, which says how every record reads) or succeeds."""
+    lines = tiny_split_file.read_text().splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1), label="line index")
+    obj = json.loads(lines[index])
+    keys = data.draw(st.sampled_from(list(_paths(obj))), label="keys")
+    delete = bool(keys) and data.draw(st.booleans(), label="delete")
+    value = None if delete else data.draw(_JSON, label="value")
+    if not keys:
+        obj = value
+    else:
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        if delete:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+    lines[index] = json.dumps(obj, separators=(",", ":"))
+    mutated = tiny_split_file.with_name("mutated.wavsplit")
+    mutated.write_text("\n".join(lines) + "\n")
+    try:
+        load(mutated)
+    except ParseError as err:
+        assert err.line is not None
+        if index > 0:
+            assert err.line == index + 1, str(err)

@@ -18,6 +18,7 @@ from wavlab.models import (
     apply_delta,
     classify_delta,
     disagreement,
+    disagreement_batch,
     fit_subgoal_generator,
     infer_action,
     load_model,
@@ -167,15 +168,15 @@ class TestGradients:
         T = np.zeros((len(S), 7))
         T[np.arange(len(S)), A] = 1.0
         rng = np.random.default_rng(7)
-        W = rng.normal(0, 0.05, size=(2 * enc.n_features + ps.n_pairs + ps.n_pooled + 1, 7))
+        W = rng.normal(0, 0.05, size=(ps.input_width, 7))
         gates = rng.normal(0, 0.5, size=enc.n_features)
         sw = 0.1
 
         def loss_at(Wx, gx):
-            value, _, _ = _idm_loss_and_grad(Wx, gx, sw, S, N, CS, CS2, T, ps)
+            value, _, _ = _idm_loss_and_grad(Wx, gx, False, sw, S, N, CS, CS2, T, ps)
             return value
 
-        _, dW, dg = _idm_loss_and_grad(W, gates, sw, S, N, CS, CS2, T, ps)
+        _, dW, dg = _idm_loss_and_grad(W, gates, True, sw, S, N, CS, CS2, T, ps)
         eps = 1e-6
         for i, j in [(0, 0), (enc.n_features + 4, 3), (W.shape[0] - 1, 6)]:
             Wp, Wm = W.copy(), W.copy()
@@ -193,13 +194,14 @@ class TestGradients:
 
 class TestInverseModel:
     def test_vanilla_reduction_is_exact(self, small_split, small_encoder):
-        # sparsity weight 0 with a frozen unit mask IS the vanilla model.
+        # sparsity weight 0 IS the vanilla model: no gates, a unit mask, and
+        # the gate knobs are never read.
         hyper = TrainConfig(learning_rate=0.03, batch_size=16, epochs=5)
         a = train_idm(small_split.seed_labeled, 0.0, hyper,
                       np.random.default_rng(8), encoder=small_encoder)
-        b = train_idm(small_split.seed_labeled, 0.0, hyper,
-                      np.random.default_rng(8), encoder=small_encoder,
-                      learn_mask=False)
+        b = train_idm(small_split.seed_labeled, 0.0,
+                      dataclasses.replace(hyper, gate_init=-3.0, gate_lr=5.0),
+                      np.random.default_rng(8), encoder=small_encoder)
         assert np.array_equal(a.weights, b.weights)
         assert a.loss_curve == b.loss_curve
         assert a.gate_logits is None
@@ -227,10 +229,9 @@ class TestInverseModel:
     def test_tie_break_is_lexicographic(self, small_encoder):
         from wavlab.models import InverseModel
         ps = _pair_structure(small_encoder)
-        d = small_encoder.n_features
         idm = InverseModel(
             encoder=small_encoder,
-            weights=np.zeros((2 * d + ps.n_pairs + ps.n_pooled + 1, 7)),
+            weights=np.zeros((ps.input_width, 7)),
             gate_logits=None, sparsity_weight=0.0, hyper=TrainConfig(epochs=0),
         )
         s = generate_layout(6, 6, 4, 0, np.random.default_rng(11))
@@ -302,6 +303,16 @@ class TestEnsemble:
                              TrainConfig(epochs=3), np.random.default_rng(19))
         for t in small_split.test[:10]:
             assert disagreement(ens, t.features, t.action) >= 0.0
+
+    def test_batch_equals_per_group_loop(self, small_split, small_encoder):
+        ens = train_ensemble(small_split.seed_labeled, small_encoder, 3,
+                             TrainConfig(epochs=3), np.random.default_rng(19))
+        S = np.stack([t.features for t in small_split.test[:40]])
+        A = [int(t.action) for t in small_split.test[:40]]
+        var = np.stack([m.predict_proba(S, A) for m in ens.members]).var(axis=0)
+        per_group = [var[:, g.start:g.stop].mean(axis=1) for g in small_encoder.groups]
+        assert np.array_equal(disagreement_batch(ens, S, A),
+                              np.stack(per_group, axis=1).mean(axis=1))
 
     def test_size_validated(self, small_split, small_encoder):
         with pytest.raises(ConfigError):

@@ -262,6 +262,7 @@ class TestSweepGap:
         rng = np.random.default_rng(20)
         specs = [spec_default(d_s=ds, seed=21) for ds in (10, 16, 24)]
         reports = sweep_gap(specs, [60, 120], 400, rng)
+        check_sweep(reports)
         assert len(reports) == 6
         by_n = {}
         for r in reports:
@@ -273,12 +274,14 @@ class TestSweepGap:
     def test_bound_decreases_in_n(self):
         rng = np.random.default_rng(22)
         reports = sweep_gap([spec_default()], [40, 80, 160], 300, rng)
+        check_sweep(reports)
         bounds = [r.gamma_bound for r in sorted(reports, key=lambda r: r.n)]
         assert bounds == sorted(bounds, reverse=True)
 
     def test_stochasticity_scaling(self):
         specs = [spec_default(sigma_s=s, seed=23) for s in (0.5, 1.0, 2.0)]
         reports = sweep_gap(specs, [50], 300, np.random.default_rng(24))
+        check_sweep(reports)
         bounds = [r.gamma_bound for r in reports]
         assert bounds[1] == pytest.approx(4 * bounds[0])
         assert bounds[2] == pytest.approx(4 * bounds[1])
