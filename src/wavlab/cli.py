@@ -34,6 +34,7 @@ from .errors import ConfigError, TheoryInvariantError, WavlabError
 from .metrics import kendall, spearman
 from .models import (
     TrainConfig,
+    _json_type_error,
     fit_subgoal_generator,
     save_model,
     train_ensemble,
@@ -76,21 +77,13 @@ LOW_TRIALS = 1000
 # ---------------------------------------------------------------------------
 
 
-# JSON value types each config annotation accepts (floats take integers too).
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), tuple: (list, tuple)}
-
-
 def _checked_value(value, hint, where: str):
     """``value`` if it fits the annotation ``hint``; sections are built recursively."""
     if dataclasses.is_dataclass(hint):
         return _from_dict(hint, value, where)
-    if typing.get_origin(hint) is typing.Union:  # Optional[X]
-        if value is None:
-            return value
-        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
-    if type(value) not in _JSON_TYPES[hint]:
-        expected = "list" if hint is tuple else hint.__name__
-        raise ConfigError(f"{where}: expected {expected}, got {type(value).__name__} {value!r}")
+    problem = _json_type_error(value, hint)
+    if problem:
+        raise ConfigError(f"{where}: {problem}")
     return tuple(value) if hint is tuple else value
 
 

@@ -12,8 +12,9 @@ scoring strategies must not call the latter.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -30,7 +31,6 @@ from .gridworld import (
     Action,
     Color,
     Encoder,
-    GridObject,
     GridState,
     ObjectKind,
     front_pos,
@@ -48,12 +48,11 @@ __all__ = [
     "Coverage",
     "CompositionTable",
     "default_composition_table",
-    "random_policy_rollout",
     "collect_random_play",
     "collect_task_play",
+    "stack_labeled",
     "apply_composition_filter",
     "build_split",
-    "build_default_split",
     "reveal_action",
     "peek_hidden_action",
     "peek_front_object",
@@ -258,100 +257,26 @@ def _interaction_object(
     return (obj.kind, obj.color)
 
 
-def random_policy_rollout(
-    state: GridState,
-    horizon: int,
-    rng: np.random.Generator,
-    encoder: Optional[Encoder] = None,
-    start_tid: int = 0,
-    task: Optional[str] = None,
+def _play(
+    env_config: EnvConfig, n_transitions: int, rng: np.random.Generator, episodes
 ) -> list[LabeledTransition]:
-    """Roll a uniform-random policy for ``horizon`` consecutive transitions."""
-    if encoder is None:
-        encoder = Encoder(state.width, state.height, state.floor_palette)
-    out: list[LabeledTransition] = []
-    current = state
-    feats = encoder.encode(current)
-    for i in range(horizon):
-        action = Action(int(rng.integers(len(Action))))
-        nxt = step(current, action, rng)
-        nxt_feats = encoder.encode(nxt)
-        out.append(
-            LabeledTransition(
-                tid=start_tid + i,
-                state=current,
-                action=action,
-                next_state=nxt,
-                features=feats,
-                next_features=nxt_feats,
-                front_object=_interaction_object(current, action, nxt),
-                task=task,
-            )
-        )
-        current, feats = nxt, nxt_feats
-    return out
+    """Record exactly ``n_transitions`` consecutive transitions.
 
-
-def collect_random_play(
-    env_config: EnvConfig, n_transitions: int, rng: np.random.Generator
-) -> list[LabeledTransition]:
-    """Collect exactly ``n_transitions`` from fresh layouts, re-rolling every horizon."""
-    if n_transitions < 0:
-        raise ConfigError("n_transitions must be >= 0")
-    encoder = env_config.encoder()
-    data: list[LabeledTransition] = []
-    while len(data) < n_transitions:
-        layout = generate_layout(
-            env_config.width,
-            env_config.height,
-            env_config.n_objects,
-            env_config.n_noisy_floors,
-            rng,
-            floor_palette=env_config.floor_palette,
-        )
-        horizon = min(env_config.horizon, n_transitions - len(data))
-        data.extend(
-            random_policy_rollout(
-                layout, horizon, rng, encoder=encoder, start_tid=len(data)
-            )
-        )
-    return data
-
-
-def collect_task_play(
-    env_config: EnvConfig,
-    n_transitions: int,
-    rng: np.random.Generator,
-    tasks: Optional[Sequence[str]] = None,
-) -> list[LabeledTransition]:
-    """Interaction-rich transitions from the scripted task policies.
-
-    Episodes cycle through the given tasks (all three by default) on fresh
-    layouts that always contain a key, a ball, and a box.
+    ``episodes`` yields (layout, policy, task) triples, where ``policy`` maps a
+    state to an action; each episode runs for at most one horizon. The next
+    episode is drawn only when more transitions are needed, so the generator
+    sees the layout, policy, action, and ``step`` draws in that order.
     """
-    from .tasks import TASKS, TaskPolicy, task_layout
-
     if n_transitions < 0:
         raise ConfigError("n_transitions must be >= 0")
-    tasks = tuple(tasks) if tasks is not None else TASKS
     encoder = env_config.encoder()
+    episodes = iter(episodes)
     data: list[LabeledTransition] = []
-    episode = 0
     while len(data) < n_transitions:
-        task = tasks[episode % len(tasks)]
-        episode += 1
-        current = task_layout(
-            env_config.width,
-            env_config.height,
-            max(env_config.n_objects, 3),
-            env_config.n_noisy_floors,
-            rng,
-            floor_palette=env_config.floor_palette,
-        )
-        policy = TaskPolicy(task, rng)
+        current, policy, task = next(episodes)
         feats = encoder.encode(current)
         for _ in range(min(env_config.horizon, n_transitions - len(data))):
-            action = policy.next_action(current)
+            action = policy(current)
             nxt = step(current, action, rng)
             nxt_feats = encoder.encode(nxt)
             data.append(
@@ -368,6 +293,57 @@ def collect_task_play(
             )
             current, feats = nxt, nxt_feats
     return data
+
+
+def collect_random_play(
+    env_config: EnvConfig, n_transitions: int, rng: np.random.Generator
+) -> list[LabeledTransition]:
+    """Uniform-random play from fresh layouts, re-rolled every horizon."""
+
+    def uniform(state: GridState) -> Action:
+        return Action(int(rng.integers(len(Action))))
+
+    episodes = (
+        (generate_layout(env_config.width, env_config.height, env_config.n_objects,
+                         env_config.n_noisy_floors, rng,
+                         floor_palette=env_config.floor_palette), uniform, None)
+        for _ in itertools.count()
+    )
+    return _play(env_config, n_transitions, rng, episodes)
+
+
+def collect_task_play(
+    env_config: EnvConfig,
+    n_transitions: int,
+    rng: np.random.Generator,
+    tasks: Optional[Sequence[str]] = None,
+) -> list[LabeledTransition]:
+    """Interaction-rich transitions from the scripted task policies.
+
+    Episodes cycle through the given tasks (all three by default) on fresh
+    layouts that always contain a key, a ball, and a box.
+    """
+    from .tasks import TASKS, TaskPolicy, task_layout
+
+    tasks = tuple(tasks) if tasks is not None else TASKS
+    if not tasks:
+        raise ConfigError("collect_task_play needs at least one task")
+    episodes = (
+        (task_layout(env_config.width, env_config.height, max(env_config.n_objects, 3),
+                     env_config.n_noisy_floors, rng, floor_palette=env_config.floor_palette),
+         TaskPolicy(task, rng).next_action, task)
+        for task in itertools.cycle(tasks)
+    )
+    return _play(env_config, n_transitions, rng, episodes)
+
+
+def stack_labeled(data: Sequence[LabeledTransition]):
+    """The batch matrices of labeled transitions: features (n, d), actions (n,),
+    and next features (n, d)."""
+    S = np.stack([t.features for t in data])
+    A = np.fromiter((int(t.action) for t in data), dtype=np.intp, count=len(data))
+    N = np.stack([t.next_features for t in data])
+    return S, A, N
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +500,6 @@ def _check_balance(test: Sequence[LabeledTransition], bound: float) -> None:
         )
 
 
-def build_default_split(
-    env: EnvConfig, config: SplitConfig, rng: np.random.Generator, margin: float = 1.1
-) -> ExperimentSplit:
-    """Collect just enough random play and split it with the given config."""
-    n = int(np.ceil(config.total * margin))
-    return build_split(collect_random_play(env, n, rng), config, rng, env)
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
@@ -550,61 +518,38 @@ def _fo_parse(text: Optional[str]) -> Optional[tuple[ObjectKind, Color]]:
     return (ObjectKind[kind_name.upper()], Color[color_name.upper()])
 
 
-def _record(kind: str, tid: int, s: list[int], a: Action, s_next: list[int],
-            fo: Optional[str], task: Optional[str]) -> dict:
-    return {
-        "id": tid,
+# Partition name and record kind, in file order.
+_PARTITIONS = (
+    ("seed_labeled", "labeled"), ("pool", "unlabeled"), ("test", "labeled"), ("video", "unlabeled")
+)
+
+
+def _record(kind: str, t: LabeledTransition, enc: Encoder) -> str:
+    return json.dumps({
+        "id": t.tid,
         "kind": kind,
-        "s": s,
-        "a": a.name.lower(),
-        "s_next": s_next,
-        "meta": {"front_object": fo, "task": task},
-    }
-
-
-def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+        "s": enc.active_indices(t.state),
+        "a": t.action.name.lower(),
+        "s_next": enc.active_indices(t.next_state),
+        "meta": {"front_object": _fo_str(t.front_object), "task": t.task},
+    }, separators=(",", ":"))
 
 
 def save(split: ExperimentSplit, path) -> None:
     """Write the split as a header line plus one record per line."""
     enc = split.encoder()
+    parts = (split.seed_labeled, split.pool.items, split.test, split.video)
     header = {
         "schema": SCHEMA,
         "version": SCHEMA_VERSION,
-        "env": {
-            "width": split.env.width,
-            "height": split.env.height,
-            "n_objects": split.env.n_objects,
-            "n_noisy_floors": split.env.n_noisy_floors,
-            "floor_palette": split.env.floor_palette,
-            "horizon": split.env.horizon,
-        },
-        "counts": {
-            "seed_labeled": len(split.seed_labeled),
-            "pool": len(split.pool),
-            "test": len(split.test),
-            "video": len(split.video),
-        },
+        "env": asdict(split.env),
+        "counts": {name: len(items) for (name, _), items in zip(_PARTITIONS, parts)},
         "revealed": split.pool.revealed_indices(),
     }
-    lines = [_dump_line(header)]
-    for t in split.seed_labeled:
-        lines.append(_dump_line(_record(
-            "labeled", t.tid, enc.active_indices(t.state), t.action,
-            enc.active_indices(t.next_state), _fo_str(t.front_object), t.task)))
-    for u in split.pool.items:
-        lines.append(_dump_line(_record(
-            "unlabeled", u.tid, enc.active_indices(u.state), u._hidden_action,
-            enc.active_indices(u.next_state), _fo_str(u._front_object), u.task)))
-    for t in split.test:
-        lines.append(_dump_line(_record(
-            "labeled", t.tid, enc.active_indices(t.state), t.action,
-            enc.active_indices(t.next_state), _fo_str(t.front_object), t.task)))
-    for u in split.video:
-        lines.append(_dump_line(_record(
-            "unlabeled", u.tid, enc.active_indices(u.state), u._hidden_action,
-            enc.active_indices(u.next_state), _fo_str(u._front_object), u.task)))
+    lines = [json.dumps(header, separators=(",", ":"))]
+    for (_, kind), items in zip(_PARTITIONS, parts):
+        for t in items:
+            lines.append(_record(kind, _to_labeled(t) if kind == "unlabeled" else t, enc))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -622,36 +567,40 @@ def _typed(obj, key: str, types: tuple, line: int):
     return value
 
 
+def _indices(obj: dict, key: str, line: int) -> list[int]:
+    active = _typed(obj, key, (list,), line)
+    if not set(map(type, active)) <= {int}:  # by exact type, so true is no index
+        raise ParseError(f"key {key!r}: active indices must be integers", line=line)
+    return active
+
+
 def _parse_record(obj: dict, enc: Encoder, line: int):
+    """The transition one record holds, unlabeled when its kind says so."""
     tid = _typed(obj, "id", (int,), line)
     kind = _typed(obj, "kind", (str,), line)
+    if kind not in ("labeled", "unlabeled"):
+        raise ParseError(f"unknown record kind {kind!r}", line=line)
     meta = _typed(obj, "meta", (dict,), line)
     task = _typed(meta, "task", (str, _NONE), line)
     try:
         action = Action[_typed(obj, "a", (str,), line).upper()]
-        state = enc.decode_indices(_typed(obj, "s", (list,), line))
-        next_state = enc.decode_indices(_typed(obj, "s_next", (list,), line))
+        states = [enc.decode_indices(_indices(obj, key, line)) for key in ("s", "s_next")]
         fo = _fo_parse(_typed(meta, "front_object", (str, _NONE), line))
     except (KeyError, ValueError, TypeError, IndexError) as err:
         raise ParseError(f"bad record: {err}", line=line) from err
-    features = enc.encode(state)
-    next_features = enc.encode(next_state)
-    # A record that breaks a decode precedence rule (say, a real object with
-    # colour class 0) decodes to a state that re-encodes to other indices.
-    for key, encoded in (("s", features), ("s_next", next_features)):
-        if np.flatnonzero(encoded).tolist() != obj[key]:
+    features = []
+    for key, state in zip(("s", "s_next"), states):
+        # A record that breaks a decode precedence rule (say, a real object
+        # with colour class 0) decodes to a state with other active indices.
+        if enc.active_indices(state) != obj[key]:
             raise ParseError(f"non-canonical record: {key!r} re-encodes differently", line=line)
-    if kind == "labeled":
-        return LabeledTransition(
-            tid=tid, state=state, action=action, next_state=next_state,
-            features=features, next_features=next_features,
-            front_object=fo, task=task)
-    if kind == "unlabeled":
-        return UnlabeledTransition(
-            tid=tid, state=state, next_state=next_state,
-            features=features, next_features=next_features, task=task,
-            _hidden_action=action, _front_object=fo)
-    raise ParseError(f"unknown record kind {kind!r}", line=line)
+        vec = np.zeros(enc.n_features, dtype=np.float64)
+        vec[obj[key]] = 1.0
+        features.append(vec)
+    t = LabeledTransition(
+        tid=tid, state=states[0], action=action, next_state=states[1],
+        features=features[0], next_features=features[1], front_object=fo, task=task)
+    return _to_unlabeled(t) if kind == "unlabeled" else t
 
 
 def load(path) -> ExperimentSplit:
@@ -674,7 +623,7 @@ def load(path) -> ExperimentSplit:
     env_obj = _typed(header, "env", (dict,), 1)
     env_fields = {k: _typed(env_obj, k, (int,), 1) for k in env_obj}
     counts = _typed(header, "counts", (dict,), 1)
-    sizes = [_typed(counts, k, (int,), 1) for k in ("seed_labeled", "pool", "test", "video")]
+    sizes = [_typed(counts, name, (int,), 1) for name, _ in _PARTITIONS]
     if min(sizes) < 0:
         raise ParseError(f"bad header: negative partition size in {counts!r}", line=1)
     revealed = header.get("revealed", [])
@@ -697,18 +646,15 @@ def load(path) -> ExperimentSplit:
         except json.JSONDecodeError as err:
             raise ParseError(f"bad record: {err.msg}", line=i) from err
         records.append(_parse_record(obj, enc, i))
-    bounds = np.cumsum([0] + sizes)
-    parts = []
-    for p, want in enumerate(
-        (LabeledTransition, UnlabeledTransition, LabeledTransition, UnlabeledTransition)
-    ):
-        parts.append(records[bounds[p]:bounds[p + 1]])
-        for k, rec in enumerate(parts[-1]):
-            if not isinstance(rec, want):
+    parts, start = [], 0
+    for (_, kind), size in zip(_PARTITIONS, sizes):
+        parts.append(records[start:start + size])
+        for line, rec in enumerate(parts[-1], start=2 + start):
+            if isinstance(rec, UnlabeledTransition) != (kind == "unlabeled"):
                 raise ParseError(
-                    f"record id {rec.tid} has the wrong kind for its partition",
-                    line=2 + int(bounds[p]) + k,
+                    f"record id {rec.tid} has the wrong kind for its partition", line=line
                 )
+        start += size
     seed_part, pool_part, test_part, video_part = parts
     pool = ExplorationPool(pool_part)
     try:

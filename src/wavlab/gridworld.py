@@ -442,7 +442,8 @@ class Encoder:
         self.n_features = offset
         self._group_by_name = {g.name: g for g in groups}
         self._n_cells = len(self.cells)
-        self.group_starts = np.asarray([g.start for g in groups], dtype=np.intp)
+        self._starts = [g.start for g in groups]
+        self.group_starts = np.asarray(self._starts, dtype=np.intp)
         self.group_sizes = np.asarray([g.size for g in groups], dtype=np.intp)
         self.run_slices = self._run_slices()
 
@@ -468,19 +469,9 @@ class Encoder:
         return tuple(runs)
 
     def agent_feature_indices(self) -> np.ndarray:
-        """Indices of the agent-centric groups (position, direction, hands)."""
-        idx: list[int] = []
-        for name in (
-            ("agent_pos",),
-            ("agent_dir",),
-            ("carried_kind",),
-            ("carried_color",),
-            ("carried_contents_kind",),
-            ("carried_contents_color",),
-        ):
-            g = self._group_by_name[name]
-            idx.extend(range(g.start, g.stop))
-        return np.asarray(idx, dtype=np.intp)
+        """Indices of the agent-centric groups (position, direction, hands):
+        the last six groups."""
+        return np.arange(self.groups[-6].start, self.n_features, dtype=np.intp)
 
     # -- encoding ----------------------------------------------------------
 
@@ -500,48 +491,23 @@ class Encoder:
             _COLOR_CLASSES.index(obj.contents.color),
         )
 
-    def active_indices(self, state: GridState) -> list[int]:
-        """Indices of the 1-valued features, one per group, ascending."""
+    def classes(self, state: GridState) -> list[int]:
+        """The class index of every group, in group order; the exact inverse
+        of :meth:`decode_classes` on valid states."""
         if (state.width, state.height) != (self.width, self.height):
             raise ValueError("state shape does not match encoder shape")
         if state.floor_palette != self.floor_palette:
             raise ValueError("state floor palette does not match encoder")
-        n_cells = self._n_cells
-        kw, cw, ckw = len(_KIND_CLASSES), len(_COLOR_CLASSES), len(_CONTENT_KIND_CLASSES)
-        floor_w = self.floor_palette + 1
-
         attrs = [self._obj_attrs(state.cells.get(pos)) for pos in self.cells]
-        active = []
-        base = 0
-        for i in range(n_cells):
-            active.append(base + i * kw + attrs[i][0])
-        base += n_cells * kw
-        for i in range(n_cells):
-            active.append(base + i * cw + attrs[i][1])
-        base += n_cells * cw
-        for i in range(n_cells):
-            active.append(base + i * ckw + attrs[i][2])
-        base += n_cells * ckw
-        for i in range(n_cells):
-            active.append(base + i * cw + attrs[i][3])
-        base += n_cells * cw
-        for i, pos in enumerate(self.cells):
-            color = state.noisy_floors.get(pos)
-            active.append(base + i * floor_w + (0 if color is None else color + 1))
-        base += n_cells * floor_w
-        active.append(base + self._cell_index[state.agent.pos])
-        base += n_cells
-        active.append(base + state.agent.dir)
-        base += 4
-        ck, cc, cck, ccc = self._obj_attrs(state.agent.carried)
-        active.append(base + ck)
-        base += kw
-        active.append(base + cc)
-        base += cw
-        active.append(base + cck)
-        base += ckw
-        active.append(base + ccc)
-        return active
+        out = [a[k] for k in range(4) for a in attrs]
+        out += [state.noisy_floors.get(pos, -1) + 1 for pos in self.cells]
+        out += [self._cell_index[state.agent.pos], state.agent.dir]
+        out += self._obj_attrs(state.agent.carried)
+        return out
+
+    def active_indices(self, state: GridState) -> list[int]:
+        """Indices of the 1-valued features, one per group, ascending."""
+        return [start + c for start, c in zip(self._starts, self.classes(state))]
 
     def encode(self, state: GridState) -> np.ndarray:
         vec = np.zeros(self.n_features, dtype=np.float64)

@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .datasets import stack_labeled
 from .errors import MetricUndefinedError
 from .gridworld import GridState, changed_elements, element_value
 
@@ -105,7 +106,5 @@ def prediction_loss(wm, test) -> float:
     """Mean per-group cross-entropy of the true successors on a labeled set."""
     if not test:
         raise MetricUndefinedError("prediction loss over an empty set is undefined")
-    feats = np.stack([t.features for t in test])
-    actions = [int(t.action) for t in test]
-    next_feats = np.stack([t.next_features for t in test])
+    feats, actions, next_feats = stack_labeled(test)
     return float(wm.per_item_loss(feats, actions, next_feats).mean())

@@ -30,14 +30,15 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, TrainingDivergedError, UnsupportedVersionError
-from .datasets import LabeledTransition, UnlabeledTransition
+from .datasets import LabeledTransition, UnlabeledTransition, stack_labeled
 from .gridworld import (
     Action,
     Encoder,
@@ -231,13 +232,6 @@ def _wm_loss_and_grad(
     return loss, grad
 
 
-def _training_matrices(data: Sequence[LabeledTransition]):
-    S = np.stack([t.features for t in data])
-    A = np.fromiter((int(t.action) for t in data), dtype=np.intp, count=len(data))
-    N = np.stack([t.next_features for t in data])
-    return S, A, N
-
-
 def train_world_model(
     data: Sequence[LabeledTransition],
     encoder: Encoder,
@@ -249,7 +243,7 @@ def train_world_model(
         raise ConfigError("cannot train a world model on an empty dataset")
     hyper = hyper or DEFAULT_WM_HYPER
     rng = rng if rng is not None else np.random.default_rng(0)
-    S, A, N = _training_matrices(data)
+    S, A, N = stack_labeled(data)
     d_out = N.shape[1]
     W = rng.normal(0.0, hyper.init_scale, size=(1 + N_ACTIONS, S.shape[1] + 1, d_out))
     model = WorldModel(encoder=encoder, weights=W, hyper=hyper)
@@ -478,7 +472,7 @@ def train_idm(
         t0 = data[0]
         encoder = Encoder(t0.state.width, t0.state.height, t0.state.floor_palette)
 
-    S, A, S2 = _training_matrices(data)
+    S, A, S2 = stack_labeled(data)
     T = np.zeros((len(data), N_ACTIONS))
     T[np.arange(len(data)), A] = 1.0
     CS = encoder.group_argmax(S)
@@ -519,7 +513,7 @@ def train_idm(
 def action_accuracy(idm: InverseModel, data: Sequence[LabeledTransition]) -> float:
     if not data:
         raise ConfigError("accuracy over an empty dataset is undefined")
-    S, A, S2 = _training_matrices(data)
+    S, A, S2 = stack_labeled(data)
     pred, _ = idm.infer_batch(S, S2)
     return float((pred == A).mean())
 
@@ -900,15 +894,44 @@ def _unpack(obj: dict, key: str, where: str, want_shape: tuple) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
+# JSON value types each annotation accepts: floats take integers too, and
+# booleans fit no number.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), tuple: (list, tuple)}
+
+
+def _json_type_error(value, hint) -> Optional[str]:
+    """Why ``value`` does not fit the annotation ``hint``, or None if it fits.
+
+    ``Optional[X]`` also takes null.
+    """
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        if value is None:
+            return None
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if type(value) in _JSON_TYPES[hint]:
+        return None
+    expected = "list" if hint is tuple else hint.__name__
+    return f"expected {expected}, got {type(value).__name__} {value!r}"
+
+
 def _hyper_from(obj: dict, where: str) -> TrainConfig:
     hyper = _key(obj, "hyper", where, (dict,))
-    names = {f.name for f in fields(TrainConfig)}
-    unknown, missing = sorted(set(hyper) - names), sorted(names - set(hyper))
+    hints = typing.get_type_hints(TrainConfig)
+    unknown, missing = sorted(set(hyper) - set(hints)), sorted(set(hints) - set(hyper))
     if unknown or missing:
         raise ParseError(
             f"key {where + 'hyper'!r}: unknown keys {unknown}, missing keys {missing}"
         )
+    for name, value in hyper.items():
+        problem = _json_type_error(value, hints[name])
+        if problem:
+            raise ParseError(f"key {where + 'hyper.' + name!r}: {problem}")
     return TrainConfig(**hyper)
+
+
+def _json_shape(value):
+    """Lists as lists of their items' shapes, anything else as its type."""
+    return [_json_shape(v) for v in value] if type(value) is list else type(value)
 
 
 def _loss_curve_from(obj: dict, where: str) -> list[float]:
@@ -939,14 +962,18 @@ def _model_from_payload(obj, where: str = ""):
     if kind == "subgoal":
         by_key: dict[tuple[int, int], dict[DeltaKind, int]] = {}
         global_counts: dict[DeltaKind, int] = {}
-        try:
-            for key, delta_name, count in _key(obj, "store", where, (list,)):
+        for entry in _key(obj, "store", where, (list,)):
+            if _json_shape(entry) != [[int, int], str, int]:
+                raise ParseError(
+                    f"key {where + 'store'!r}: entry {entry!r} is not [[int, int], str, int]"
+                )
+            key, delta_name, count = entry
+            try:
                 delta = DeltaKind(delta_name)
-                bucket = by_key.setdefault((key[0], key[1]), {})
-                bucket[delta] = count
-                global_counts[delta] = global_counts.get(delta, 0) + count
-        except (TypeError, ValueError, IndexError, KeyError) as err:
-            raise ParseError(f"key {where + 'store'!r}: {err}") from err
+            except ValueError as err:
+                raise ParseError(f"key {where + 'store'!r}: {err}") from err
+            by_key.setdefault((key[0], key[1]), {})[delta] = count
+            global_counts[delta] = global_counts.get(delta, 0) + count
         return SubgoalGenerator(
             encoder=encoder,
             smoothing=_key(obj, "smoothing", where, _NUMBER),

@@ -23,11 +23,11 @@ import numpy as np
 
 from .datasets import (
     ExperimentSplit,
-    ExplorationPool,
     LabeledTransition,
     UnlabeledTransition,
     peek_hidden_action,
     reveal_action,
+    stack_labeled,
 )
 from .errors import ConfigError, MetricUndefinedError, PoolExhaustedError
 from .gridworld import Action, Encoder
@@ -42,7 +42,6 @@ from .models import (
     WorldModel,
     _per_item_ce,
     disagreement_batch,
-    fit_subgoal_generator,
     sample_subgoals,
     train_ensemble,
     train_idm,
@@ -123,7 +122,6 @@ class ModelSet:
     idm_vanilla: Optional[InverseModel] = None
     idm_sparse: Optional[InverseModel] = None
     ensemble: Optional[Ensemble] = None
-    subgoal: Optional[SubgoalGenerator] = None
     prev_candidate_losses: Optional[dict[int, float]] = None
 
 
@@ -407,8 +405,7 @@ def _strategy_scores(
 
 def _evaluate(wm: WorldModel, test: Sequence[LabeledTransition]) -> tuple[float, float]:
     loss = prediction_loss(wm, test)
-    feats = np.stack([t.features for t in test])
-    actions = [int(t.action) for t in test]
+    feats, actions, _ = stack_labeled(test)
     classes = wm.encoder.group_argmax(wm.predict_proba(feats, actions))
     predictions = [wm.encoder.decode_classes(row) for row in classes.tolist()]
     accuracy = dynamics_accuracy(

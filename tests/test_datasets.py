@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from wavlab.datasets import (
@@ -22,6 +22,7 @@ from wavlab.datasets import (
     peek_hidden_action,
     reveal_action,
     save,
+    _interaction_object,
 )
 from wavlab.errors import (
     InsufficientDataError,
@@ -29,7 +30,8 @@ from wavlab.errors import (
     RevealError,
     UnsupportedVersionError,
 )
-from wavlab.gridworld import Action, Color, ObjectKind
+from wavlab.gridworld import Action, Color, ObjectKind, generate_layout, step
+from wavlab.tasks import TASKS, TaskPolicy, task_layout
 
 
 ENV = EnvConfig(width=6, height=6, n_objects=4, n_noisy_floors=0, horizon=40)
@@ -94,6 +96,56 @@ class TestCollectTaskPlay:
         a = collect_task_play(ENV, 100, np.random.default_rng(7))
         b = collect_task_play(ENV, 100, np.random.default_rng(7))
         assert all(x.state == y.state and x.action == y.action for x, y in zip(a, b))
+
+
+def _reference_play(env, n, rng, episode):
+    """The per-step collection loop written out: a fresh episode from
+    ``episode(k)`` every horizon, then an action and a ``step`` per step."""
+    enc = env.encoder()
+    out = []
+    while len(out) < n:
+        current, policy, task = episode(len(out) // env.horizon)
+        for _ in range(min(env.horizon, n - len(out))):
+            action = policy(current)
+            nxt = step(current, action, rng)
+            out.append((len(out), action, enc.active_indices(current), enc.active_indices(nxt),
+                        _interaction_object(current, action, nxt), task))
+            current = nxt
+    return out
+
+
+def _reference_random_play(env, n, rng):
+    def episode(k):
+        layout = generate_layout(env.width, env.height, env.n_objects, env.n_noisy_floors,
+                                 rng, floor_palette=env.floor_palette)
+        return layout, lambda s: Action(int(rng.integers(len(Action)))), None
+    return _reference_play(env, n, rng, episode)
+
+
+def _reference_task_play(env, n, rng):
+    def episode(k):
+        task = TASKS[k % len(TASKS)]
+        layout = task_layout(env.width, env.height, max(env.n_objects, 3), env.n_noisy_floors,
+                             rng, floor_palette=env.floor_palette)
+        return layout, TaskPolicy(task, rng).next_action, task
+    return _reference_play(env, n, rng, episode)
+
+
+def _observed(data):
+    return [(t.tid, t.action, np.flatnonzero(t.features).tolist(),
+             np.flatnonzero(t.next_features).tolist(), t.front_object, t.task) for t in data]
+
+
+@pytest.mark.parametrize("collect, reference", [
+    (collect_random_play, _reference_random_play),
+    (collect_task_play, _reference_task_play),
+], ids=["random", "task"])
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 130), noisy=st.integers(0, 2))
+def test_collection_matches_reference_loop(collect, reference, seed, n, noisy):
+    env = EnvConfig(width=5, height=5, n_objects=3, n_noisy_floors=noisy, horizon=40)
+    got = _observed(collect(env, n, np.random.default_rng(seed)))
+    assert got == reference(env, n, np.random.default_rng(seed))
 
 
 class TestCompositionTable:
@@ -218,6 +270,12 @@ def _colour_class_zero(s, enc):
     return s[:n + i] + [int(enc.group_starts[n + i])] + s[n + i + 1:]
 
 
+def _first_index_as_bool(s, enc):
+    """The first index, 0 or 1, written as a JSON boolean."""
+    assert s[0] in (0, 1)
+    return [bool(s[0])] + s[1:]
+
+
 class TestPersistence:
     def test_round_trip_bytes(self, small_split, tmp_path):
         path = tmp_path / "split.wavsplit"
@@ -279,7 +337,8 @@ class TestPersistence:
         lambda s, enc: [-1] + s[1:],  # negative index
         lambda s, enc: s[:4] + [s[3]] + s[5:],  # an index duplicated over its neighbour
         _colour_class_zero,  # a real object with colour class 0 decodes as red
-    ], ids=["missing", "negative", "duplicated", "noncanonical"])
+        _first_index_as_bool,  # true == 1 and false == 0 in a list comparison
+    ], ids=["missing", "negative", "duplicated", "noncanonical", "bool"])
     def test_corrupt_active_indices_report_line(self, small_split, tmp_path, corrupt):
         path = tmp_path / "split.wavsplit"
         save(small_split, path)
@@ -377,3 +436,21 @@ def test_mutated_line_fails_on_that_line_or_loads(tiny_split_file, data):
         assert err.line is not None
         if index > 0:
             assert err.line == index + 1, str(err)
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(["task", "random"]),
+       reveals=st.lists(st.integers(0, 5), unique=True, max_size=3))
+def test_split_save_load_save_is_byte_identical(tmp_path_factory, seed, source, reveals):
+    env = EnvConfig(width=5, height=5, n_objects=3, n_noisy_floors=1, horizon=30)
+    collect = collect_task_play if source == "task" else collect_random_play
+    rng = np.random.default_rng(seed)
+    split = build_split(collect(env, 300, rng), SplitConfig(seed_size=4, pool_size=6, test_size=7,
+                                                           video_size=3), rng, env)
+    for index in reveals:
+        reveal_action(split.pool, index)
+    first = tmp_path_factory.mktemp("split") / "split.wavsplit"
+    save(split, first)
+    again = first.with_name("again.wavsplit")
+    save(load(first), again)
+    assert again.read_bytes() == first.read_bytes()

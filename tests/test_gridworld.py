@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from wavlab.datasets import EnvConfig, collect_random_play
 from wavlab.errors import ConfigError
 from wavlab.gridworld import (
     Action,
@@ -237,6 +239,13 @@ class TestEncoder:
             assert enc.decode(enc.encode(s)) == s
             assert enc.decode_indices(enc.active_indices(s)) == s
 
+    def test_agent_features_are_the_last_six_groups(self, small_encoder):
+        names = [("agent_pos",), ("agent_dir",), ("carried_kind",), ("carried_color",),
+                 ("carried_contents_kind",), ("carried_contents_color",)]
+        expected = [i for name in names for i in range(small_encoder.group(name).start,
+                                                           small_encoder.group(name).stop)]
+        assert small_encoder.agent_feature_indices().tolist() == expected
+
     def test_group_argmax_matches_per_group_loop(self):
         enc = Encoder(7, 6, 3)
         rows = np.random.default_rng(7).integers(0, 3, size=(20, enc.n_features)).astype(float)
@@ -303,3 +312,30 @@ class TestProperties:
             n2 = step(recolored, a, np.random.default_rng(0))
             assert states_equal_ignoring_floors(n1, n2)
             assert n1.cells == n2.cells and n1.agent == n2.agent
+
+
+def _random_play_states(seed: int, n_noisy_floors: int):
+    """A crowded grid, so random play boxes and carries objects often."""
+    env = EnvConfig(width=5, height=5, n_objects=5, n_noisy_floors=n_noisy_floors,
+                    floor_palette=3, horizon=60)
+    data = collect_random_play(env, 120, np.random.default_rng(seed))
+    return env.encoder(), [t.state for t in data] + [data[-1].next_state]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_noisy_floors=st.integers(0, 2))
+def test_encoder_bijection_on_random_play(seed, n_noisy_floors):
+    enc, states = _random_play_states(seed, n_noisy_floors)
+    for s in states:
+        classes = enc.classes(s)
+        assert enc.decode_classes(classes) == s
+        assert enc.active_indices(s) == (enc.group_starts + classes).tolist()
+        assert enc.decode_indices(enc.active_indices(s)) == s
+
+
+def test_random_play_states_box_and_carry_objects():
+    # The bijection property above is not vacuous: random play reaches noisy
+    # floors, boxed contents and carried objects.
+    _, states = _random_play_states(0, 2)
+    assert all(s.noisy_floors for s in states)
+    assert any(o.contents is not None for s in states for o in s.cells.values())
+    assert any(s.agent.carried is not None for s in states)

@@ -6,9 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from wavlab.datasets import EnvConfig, collect_random_play, collect_task_play
+from wavlab.datasets import EnvConfig, _to_unlabeled, collect_random_play, collect_task_play
 from wavlab.errors import ConfigError, ParseError, UnsupportedVersionError
 from wavlab.gridworld import Action, Encoder, generate_layout, step, validate_state
 from wavlab.models import (
@@ -339,7 +340,6 @@ class TestSubgoalGenerator:
     def test_turn_only_video_yields_rotations(self, small_encoder):
         rng = np.random.default_rng(23)
         env = EnvConfig(width=6, height=6, n_objects=4, n_noisy_floors=0)
-        from wavlab.datasets import _to_unlabeled
         video = [_to_unlabeled(t) for t in turn_only_data(300, rng,
                  EnvConfig(width=6, height=6, n_objects=4, n_noisy_floors=0))]
         gen = fit_subgoal_generator(video, encoder=small_encoder)
@@ -360,7 +360,6 @@ class TestSubgoalGenerator:
 
     def test_unseen_context_backs_off_to_global(self, small_encoder):
         rng = np.random.default_rng(26)
-        from wavlab.datasets import _to_unlabeled
         data = turn_only_data(100, rng)
         gen = fit_subgoal_generator([_to_unlabeled(t) for t in data],
                                     encoder=TINY.encoder())
@@ -375,7 +374,6 @@ class TestSubgoalGenerator:
         assert len(out) == 3
 
     def test_single_delta_store_is_deterministic(self, small_encoder):
-        from wavlab.datasets import _to_unlabeled
         rng = np.random.default_rng(28)
         env = EnvConfig(width=6, height=6, n_objects=3, n_noisy_floors=0)
         base = collect_random_play(env, 1, rng)[0]
@@ -538,9 +536,16 @@ class TestCheckpoints:
         (lambda o: o["hyper"].pop("gate_warmup_frac"), "hyper"),
         (lambda o: o["env"].pop("width"), "env"),
         (lambda o: o.update(loss_curve="low"), "loss_curve"),
+        (lambda o: o["hyper"].update(learning_rate="0.1"), "hyper.learning_rate"),
+        (lambda o: o["hyper"].update(epochs=[3]), "hyper.epochs"),
+        (lambda o: o["hyper"].update(epochs=3.0), "hyper.epochs"),
+        (lambda o: o["hyper"].update(batch_size=True), "hyper.batch_size"),
+        (lambda o: o["hyper"].update(init_scale=False), "hyper.init_scale"),
+        (lambda o: o["hyper"].update(gate_lr="fast"), "hyper.gate_lr"),
     ], ids=["no-loss-curve", "no-weights", "bad-base64", "short-payload",
             "shape-off-encoder", "shape-not-a-list", "unknown-hyper", "missing-hyper",
-            "bad-env", "loss-curve-type"])
+            "bad-env", "loss-curve-type", "hyper-str-float", "hyper-list-int",
+            "hyper-float-int", "hyper-bool-int", "hyper-bool-float", "hyper-str-optional"])
     def test_malformed_world_model_raises_parse_error(self, trained_wm, tmp_path,
                                                       mutate, key):
         path = tmp_path / "wm.json"
@@ -550,3 +555,43 @@ class TestCheckpoints:
         path.write_text(json.dumps(obj))
         with pytest.raises(ParseError, match=f"'{key}'"):
             load_model(path)
+
+    @pytest.mark.parametrize("entry", [
+        [["a", "b"], "stay", 2],  # context key of strings
+        [[0, 1], "stay", 2.5],  # fractional count
+        [[0, 1], "stay", True],  # boolean count
+    ], ids=["str-key", "float-count", "bool-count"])
+    def test_malformed_subgoal_store_raises_parse_error(self, small_split, small_encoder,
+                                                         tmp_path, entry):
+        path = tmp_path / "gen.json"
+        save_model(fit_subgoal_generator(small_split.video, encoder=small_encoder), path)
+        obj = json.loads(path.read_text())
+        obj["store"][0] = entry
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match="'store'"):
+            load_model(path)
+
+
+_CHECKPOINT_KINDS = {
+    "world": lambda data, enc, hyper, rng: train_world_model(data, enc, hyper, rng),
+    "idm-vanilla": lambda data, enc, hyper, rng: train_idm(data, 0.0, hyper, rng, encoder=enc),
+    "idm-sparse": lambda data, enc, hyper, rng: train_idm(data, 0.1, hyper, rng, encoder=enc),
+    "ensemble": lambda data, enc, hyper, rng: train_ensemble(data, enc, 2, hyper, rng),
+    "subgoal": lambda data, enc, hyper, rng: fit_subgoal_generator(
+        [_to_unlabeled(t) for t in data], encoder=enc),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CHECKPOINT_KINDS))
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path_factory, kind, seed):
+    rng = np.random.default_rng(seed)
+    env = EnvConfig(width=4, height=4, n_objects=2, n_noisy_floors=1, horizon=20)
+    data = collect_random_play(env, 60, rng)
+    model = _CHECKPOINT_KINDS[kind](data, env.encoder(), TrainConfig(epochs=2, batch_size=16), rng)
+    first = tmp_path_factory.mktemp("ckpt") / "model.json"
+    save_model(model, first)
+    again = first.with_name("again.json")
+    save_model(load_model(first), again)
+    assert again.read_bytes() == first.read_bytes()
