@@ -99,7 +99,10 @@ def _from_dict(cls, obj, where: str):
         name: _checked_value(value, hints[name], f"{where}.{name}")
         for name, value in obj.items()
     }
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as err:  # a range check naming its key
+        raise ConfigError(f"{where}.{err}") from err
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,9 @@ class HyperSection:
     gate_init: Optional[float] = None
     gate_lr: Optional[float] = None
     gate_warmup_frac: Optional[float] = None
+
+    def __post_init__(self):
+        self.to_hyper(TrainConfig())  # TrainConfig checks each given value's range
 
     def to_hyper(self, base: TrainConfig) -> TrainConfig:
         overrides = {

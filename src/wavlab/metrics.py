@@ -15,6 +15,7 @@ import numpy as np
 from .datasets import stack_labeled
 from .errors import MetricUndefinedError
 from .gridworld import GridState, changed_elements, element_value
+from .models import _per_item_ce
 
 __all__ = [
     "rank_vector",
@@ -102,9 +103,12 @@ def dynamics_accuracy(
     return correct / total
 
 
-def prediction_loss(wm, test) -> float:
-    """Mean per-group cross-entropy of the true successors on a labeled set."""
+def prediction_loss(wm, test, probs=None) -> float:
+    """Mean per-group cross-entropy of the true successors on a labeled set;
+    ``probs``, if given, are ``wm.predict_proba`` on ``test``."""
     if not test:
         raise MetricUndefinedError("prediction loss over an empty set is undefined")
     feats, actions, next_feats = stack_labeled(test)
-    return float(wm.per_item_loss(feats, actions, next_feats).mean())
+    if probs is None:
+        probs = wm.predict_proba(feats, actions)
+    return float(_per_item_ce(probs, next_feats, wm.encoder.n_groups).mean())

@@ -3,7 +3,8 @@
 All models are softmax-linear heads over fixed feature maps, trained from
 scratch with plain mini-batch gradient descent at a fixed step size, so
 training is deterministic given (data order, hyperparameters, seed) and has
-no dependency beyond numpy.
+no dependency beyond numpy. The training kernels are bit-identical to building
+each batch from scratch, with dense matrix products (README, "Training kernels").
 
 Feature maps: purely additive heads over concatenated one-hots cannot
 represent shift dynamics on cyclic groups (no weight assignment separates
@@ -77,6 +78,22 @@ MODEL_SCHEMA = "wav-model/2"
 SPARSITY_CUTOFF = 0.05
 
 
+# The range of each TrainConfig field; gate_init is a logit and takes any value.
+_HYPER_RANGES = {
+    "learning_rate": ("> 0", lambda v: v > 0),
+    "batch_size": (">= 1", lambda v: v >= 1),
+    "epochs": (">= 0", lambda v: v >= 0),
+    "init_scale": (">= 0", lambda v: v >= 0),
+    "gate_lr": ("> 0 or null", lambda v: v is None or v > 0),
+    "gate_warmup_frac": ("in [0, 1]", lambda v: 0 <= v <= 1),
+}
+
+
+def _range_error(name: str, value) -> Optional[str]:
+    rule, ok = _HYPER_RANGES.get(name, ("", lambda v: True))
+    return None if ok(value) else f"must be {rule}, got {value!r}"
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Gradient-descent hyperparameters (all knobs, defaults are desk-scale).
@@ -98,6 +115,12 @@ class TrainConfig:
     gate_lr: Optional[float] = None
     gate_warmup_frac: float = 0.3
 
+    def __post_init__(self):
+        for name in _HYPER_RANGES:
+            problem = _range_error(name, getattr(self, name))
+            if problem:
+                raise ConfigError(f"{name}: {problem}")
+
     def resolved_gate_lr(self, n_features: int) -> float:
         if self.gate_lr is not None:
             return self.gate_lr
@@ -117,16 +140,20 @@ def _batches(order: np.ndarray, size: int):
         yield order[i : i + size]
 
 
-def _softmax_runs(logits: np.ndarray, runs) -> np.ndarray:
-    """Per-group softmax over a concatenation of one-hot groups."""
-    probs = np.empty_like(logits)
+def _softmax_runs(logits: np.ndarray, encoder: Encoder) -> np.ndarray:
+    """Per-group softmax over a concatenation of one-hot groups; it sums per run
+    of equal-size groups, since ``add.reduceat`` adds in another order."""
     n = logits.shape[0]
-    for start, stop, count, size in runs:
-        seg = logits[:, start:stop].reshape(n, count, size)
-        seg = seg - seg.max(axis=2, keepdims=True)
-        np.exp(seg, out=seg)
-        seg /= seg.sum(axis=2, keepdims=True)
-        probs[:, start:stop] = seg.reshape(n, count * size)
+    sizes = encoder.group_sizes
+    probs = logits - np.repeat(
+        np.maximum.reduceat(logits, encoder.group_starts, axis=1), sizes, axis=1
+    )
+    np.exp(probs, out=probs)
+    sums = np.concatenate([
+        probs[:, start:stop].reshape(n, count, size).sum(axis=2)
+        for start, stop, count, size in encoder.run_slices
+    ], axis=1)
+    probs /= np.repeat(sums, sizes, axis=1)
     return probs
 
 
@@ -137,12 +164,9 @@ def _per_item_ce(probs: np.ndarray, targets: np.ndarray, n_groups: int) -> np.nd
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no exp overflows."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +202,7 @@ class WorldModel:
         return out
 
     def predict_proba(self, feats: np.ndarray, actions) -> np.ndarray:
-        return _softmax_runs(self.logits(feats, actions), self.encoder.run_slices)
+        return _softmax_runs(self.logits(feats, actions), self.encoder)
 
     def argmax_features(self, probs: np.ndarray) -> np.ndarray:
         """Per-group argmax as a one-hot feature matrix."""
@@ -205,8 +229,7 @@ def _wm_loss_and_grad(
     X: np.ndarray,
     actions: np.ndarray,
     targets: np.ndarray,
-    runs,
-    n_groups: int,
+    encoder: Encoder,
 ):
     """Mean per-group cross-entropy and its gradient for one batch.
 
@@ -215,7 +238,7 @@ def _wm_loss_and_grad(
     block and the block of every action present. A single-action batch
     takes one product, which serves both of its blocks.
     """
-    n = X.shape[0]
+    n, n_groups = X.shape[0], encoder.n_groups
     present = sorted(set(actions.tolist()))
     rows_of = {
         a: np.flatnonzero(actions == a) if len(present) > 1 else slice(None) for a in present
@@ -223,8 +246,8 @@ def _wm_loss_and_grad(
     logits = np.empty((n, weights.shape[2]))
     for a, rows in rows_of.items():
         logits[rows] = X[rows] @ (weights[0] + weights[1 + a])
-    probs = _softmax_runs(logits, runs)
-    loss = float(_per_item_ce(probs, targets, n_groups).mean())
+    probs = _softmax_runs(logits, encoder)
+    loss = float(_per_item_ce(probs, targets, n_groups).sum() / n)
     dlogits = (probs - targets) / (n * n_groups)
     grad = {0: X.T @ dlogits}
     for a, rows in rows_of.items():
@@ -248,8 +271,6 @@ def train_world_model(
     W = rng.normal(0.0, hyper.init_scale, size=(1 + N_ACTIONS, S.shape[1] + 1, d_out))
     model = WorldModel(encoder=encoder, weights=W, hyper=hyper)
     X = np.concatenate([S, np.ones((len(data), 1))], axis=1)
-    runs = encoder.run_slices
-    n_groups = encoder.n_groups
     by_action = [np.flatnonzero(A == a) for a in range(N_ACTIONS)]
     for _ in range(hyper.epochs):
         # Batches are stratified by action: each update touches the shared
@@ -262,9 +283,11 @@ def train_world_model(
         epoch_losses = []
         for bi in rng.permutation(len(batches)):
             batch = batches[bi]
-            loss, grad = _wm_loss_and_grad(W, X[batch], A[batch], N[batch], runs, n_groups)
-            for block, g in grad.items():
-                W[block] -= hyper.learning_rate * g
+            loss, grad = _wm_loss_and_grad(W, X[batch], A[batch], N[batch], encoder)
+            # One action per batch, so both blocks take the same step.
+            step = hyper.learning_rate * grad[0]
+            for block in grad:
+                W[block] -= step
             epoch_losses.append(loss)
         epoch_loss = float(np.mean(epoch_losses))
         if not np.isfinite(epoch_loss):
@@ -396,8 +419,9 @@ def _idm_inputs(mask, feats, next_feats, columns, ps: _PairStructure) -> np.ndar
     """
     n = feats.shape[0]
     cols, i_idx, j_idx = columns
-    pairs = np.zeros((n, ps.n_columns))
-    np.add.at(pairs, (np.arange(n)[:, None], cols), mask[i_idx] * mask[j_idx] * ps.scale)
+    flat = (np.arange(n)[:, None] * ps.n_columns + cols).ravel()
+    weights = (mask[i_idx] * mask[j_idx] * ps.scale).ravel()
+    pairs = np.bincount(flat, weights, n * ps.n_columns).reshape(n, ps.n_columns)
     masked = feats * mask
     return np.concatenate([masked, next_feats * mask - masked, pairs, np.ones((n, 1))], axis=1)
 
@@ -413,39 +437,39 @@ def infer_action(idm: InverseModel, s_features: np.ndarray, next_features: np.nd
 
 def _idm_loss_and_grad(
     W: np.ndarray,
-    gates: Optional[np.ndarray],
-    learn_gates: bool,
-    sparsity_weight: float,
-    feats: np.ndarray,
-    next_feats: np.ndarray,
-    cls_s: np.ndarray,
-    cls_s2: np.ndarray,
-    targets: np.ndarray,
-    ps: _PairStructure,
+    X: np.ndarray,
+    actions: np.ndarray,
+    penalty: float,
+    gated: Optional[tuple] = None,
 ):
-    """Loss = action cross-entropy + sparsity_weight * mean(mask).
+    """Loss = cross-entropy of the ``actions`` on the inputs ``X`` + ``penalty``.
 
-    The mask is ``sigmoid(gates)``, or all ones when ``gates`` is None. The
-    gate gradient is None unless ``learn_gates``.
+    ``X`` is :func:`_idm_inputs` of the batch under a mask ``m`` and
+    ``penalty`` is sparsity_weight * mean(m). The gate gradient is None
+    unless ``gated`` is ``(m, sparsity_weight, feats, next_feats, columns,
+    ps)``, the mask ``sigmoid(gates)`` and the batch that built ``X``.
     """
-    n, d = feats.shape
-    m = np.ones(d) if gates is None else _sigmoid(gates)
-    columns = _pair_columns(ps, cls_s, cls_s2)
-    X = _idm_inputs(m, feats, next_feats, columns, ps)
-    probs = _row_softmax(X @ W)
-    ce = float(-np.log(np.maximum((probs * targets).sum(axis=1), 1e-300)).mean())
-    loss = ce + sparsity_weight * float(m.mean())
-    dlogits = (probs - targets) / n
+    n = X.shape[0]
+    rows = np.arange(n)
+    dlogits = _row_softmax(X @ W)
+    ce = float(-np.log(np.maximum(dlogits[rows, actions], 1e-300)).sum() / n)
+    loss = ce + penalty
+    dlogits[rows, actions] -= 1.0
+    dlogits /= n
     dW = X.T @ dlogits
-    if not learn_gates:
+    if gated is None:
         return loss, dW, None
+    m, sparsity_weight, feats, next_feats, (cols, i_idx, j_idx), ps = gated
+    d = len(m)
     dX = dlogits @ W.T
     dm = (dX[:, :d] * feats).sum(axis=0)
     dm += (dX[:, d : 2 * d] * (next_feats - feats)).sum(axis=0)
-    cols, i_idx, j_idx = columns
-    dpairs = dX[np.arange(n)[:, None], 2 * d + cols] * ps.scale
-    np.add.at(dm, i_idx, dpairs * m[j_idx])
-    np.add.at(dm, j_idx, dpairs * m[i_idx])
+    dpairs = dX[rows[:, None], 2 * d + cols] * ps.scale
+    # One scatter in np.add.at's order: the running dm, the i terms, the j terms.
+    dm = np.bincount(
+        np.concatenate([np.arange(d), i_idx.ravel(), j_idx.ravel()]),
+        np.concatenate([dm, (dpairs * m[j_idx]).ravel(), (dpairs * m[i_idx]).ravel()]),
+    )
     dm += sparsity_weight / d
     return loss, dW, dm * m * (1.0 - m)
 
@@ -460,7 +484,8 @@ def train_idm(
     """Fit the action classifier; the mask is learned exactly when sparsity_weight > 0.
 
     The vanilla configuration (weight 0, no gates) is a plain softmax
-    classifier on the unmasked pair features.
+    classifier on the unmasked pair features. While the mask is fixed (vanilla,
+    or sparse warm-up) batches are row slices of inputs built once.
     """
     if not data:
         raise ConfigError("cannot train an inverse model on an empty dataset")
@@ -473,19 +498,18 @@ def train_idm(
         encoder = Encoder(t0.state.width, t0.state.height, t0.state.floor_palette)
 
     S, A, S2 = stack_labeled(data)
-    T = np.zeros((len(data), N_ACTIONS))
-    T[np.arange(len(data)), A] = 1.0
-    CS = encoder.group_argmax(S)
-    CS2 = encoder.group_argmax(S2)
-
     d = encoder.n_features
     ps = _pair_structure(encoder)
+    columns = _pair_columns(ps, encoder.group_argmax(S), encoder.group_argmax(S2))
     W = rng.normal(0.0, hyper.init_scale, size=(ps.input_width, N_ACTIONS))
     gates = np.full(d, float(hyper.gate_init)) if sparsity_weight > 0 else None
     model = InverseModel(encoder=encoder, weights=W, gate_logits=gates,
                          sparsity_weight=sparsity_weight, hyper=hyper)
     gate_lr = hyper.resolved_gate_lr(d)
     warmup_epochs = int(np.ceil(hyper.gate_warmup_frac * hyper.epochs))
+    m = model.mask
+    X = _idm_inputs(m, S, S2, columns, ps)
+    penalty = sparsity_weight * float(m.sum() / d)
 
     for epoch in range(hyper.epochs):
         order = rng.permutation(len(data))
@@ -493,10 +517,15 @@ def train_idm(
         # The gates stay frozen through the warm-up epochs.
         learn_gates = gates is not None and epoch >= warmup_epochs
         for batch in _batches(order, hyper.batch_size):
-            loss, dW, dgates = _idm_loss_and_grad(
-                W, gates, learn_gates, sparsity_weight,
-                S[batch], S2[batch], CS[batch], CS2[batch], T[batch], ps,
-            )
+            if learn_gates:
+                m = _sigmoid(gates)
+                penalty = sparsity_weight * float(m.sum() / d)
+                sb, s2b, cb = S[batch], S2[batch], tuple(c[batch] for c in columns)
+                Xb = _idm_inputs(m, sb, s2b, cb, ps)
+                gated = (m, sparsity_weight, sb, s2b, cb, ps)
+            else:
+                Xb, gated = X[batch], None
+            loss, dW, dgates = _idm_loss_and_grad(W, Xb, A[batch], penalty, gated)
             W -= hyper.learning_rate * dW
             if learn_gates:
                 gates -= gate_lr * dgates
@@ -923,7 +952,7 @@ def _hyper_from(obj: dict, where: str) -> TrainConfig:
             f"key {where + 'hyper'!r}: unknown keys {unknown}, missing keys {missing}"
         )
     for name, value in hyper.items():
-        problem = _json_type_error(value, hints[name])
+        problem = _json_type_error(value, hints[name]) or _range_error(name, value)
         if problem:
             raise ParseError(f"key {where + 'hyper.' + name!r}: {problem}")
     return TrainConfig(**hyper)

@@ -404,9 +404,10 @@ def _strategy_scores(
 
 
 def _evaluate(wm: WorldModel, test: Sequence[LabeledTransition]) -> tuple[float, float]:
-    loss = prediction_loss(wm, test)
-    feats, actions, _ = stack_labeled(test)
-    classes = wm.encoder.group_argmax(wm.predict_proba(feats, actions))
+    # One forward pass serves both metrics; prediction_loss refuses an empty set.
+    probs = wm.predict_proba(*stack_labeled(test)[:2]) if test else None
+    loss = prediction_loss(wm, test, probs)
+    classes = wm.encoder.group_argmax(probs)
     predictions = [wm.encoder.decode_classes(row) for row in classes.tolist()]
     accuracy = dynamics_accuracy(
         predictions, [t.next_state for t in test], [t.state for t in test]

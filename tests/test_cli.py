@@ -74,6 +74,23 @@ class TestConfigValidation:
         assert run_cli(["explore", "--config", bad, "--out", tmp_path / "o"]) == 2
         assert f"explore.{next(iter(config))}: expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("train", "wm", "batch_size", 0),
+        ("train", "wm", "init_scale", -1.0),
+        ("train", "wm", "epochs", -1),
+        ("train", "idm", "learning_rate", -0.1),
+        ("train", "idm", "gate_warmup_frac", 2.0),
+        ("train", "idm", "gate_lr", 0.0),
+        ("explore", "idm", "batch_size", 0),
+    ])
+    def test_out_of_range_hyper_rejected(self, tmp_path, capsys, command, section, key, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dataset": "unused.wavsplit", section: {key: value}}))
+        out = tmp_path / "o"
+        assert run_cli([command, "--config", bad, "--out", out]) == 2
+        assert f"{command}.{section}.{key}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_removed_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"subgoal_candidates": 4}')

@@ -30,9 +30,12 @@ from wavlab.models import (
     train_ensemble,
     train_idm,
     train_world_model,
+    _idm_inputs,
     _idm_loss_and_grad,
+    _pair_columns,
     _pair_structure,
     _sigmoid,
+    _softmax_runs,
     _wm_loss_and_grad,
 )
 from wavlab.metrics import dynamics_accuracy, prediction_loss
@@ -145,15 +148,14 @@ class TestGradients:
         X = np.concatenate([S, np.ones((len(S), 1))], axis=1)
         rng = np.random.default_rng(6)
         W = rng.normal(0, 0.05, size=(8, X.shape[1], N.shape[1]))
-        runs = enc.run_slices
-        _, grad = _wm_loss_and_grad(W, X, A, N, runs, enc.n_groups)
+        _, grad = _wm_loss_and_grad(W, X, A, N, enc)
         eps = 1e-6
         for a, i, j in [(0, 3, 10), (2, X.shape[1] - 1, 0), (5, 7, 33), (7, 2, 21)]:
             Wp, Wm = W.copy(), W.copy()
             Wp[a, i, j] += eps
             Wm[a, i, j] -= eps
-            lp, _ = _wm_loss_and_grad(Wp, X, A, N, runs, enc.n_groups)
-            lm, _ = _wm_loss_and_grad(Wm, X, A, N, runs, enc.n_groups)
+            lp, _ = _wm_loss_and_grad(Wp, X, A, N, enc)
+            lm, _ = _wm_loss_and_grad(Wm, X, A, N, enc)
             fd = (lp - lm) / (2 * eps)
             if abs(fd) > 1e-9:
                 assert abs(grad[a][i, j] - fd) / max(abs(fd), 1e-9) < 1e-4
@@ -164,20 +166,24 @@ class TestGradients:
         S, A, N = self._batch()
         enc = self.ENC
         ps = _pair_structure(enc)
-        CS = enc.group_argmax(S)
-        CS2 = enc.group_argmax(N)
-        T = np.zeros((len(S), 7))
-        T[np.arange(len(S)), A] = 1.0
+        columns = _pair_columns(ps, enc.group_argmax(S), enc.group_argmax(N))
         rng = np.random.default_rng(7)
         W = rng.normal(0, 0.05, size=(ps.input_width, 7))
         gates = rng.normal(0, 0.5, size=enc.n_features)
         sw = 0.1
 
+        def inputs(gx):
+            m = _sigmoid(gx)
+            return _idm_inputs(m, S, N, columns, ps), sw * float(m.mean())
+
         def loss_at(Wx, gx):
-            value, _, _ = _idm_loss_and_grad(Wx, gx, False, sw, S, N, CS, CS2, T, ps)
+            X, penalty = inputs(gx)
+            value, _, _ = _idm_loss_and_grad(Wx, X, A, penalty)
             return value
 
-        _, dW, dg = _idm_loss_and_grad(W, gates, True, sw, S, N, CS, CS2, T, ps)
+        X, penalty = inputs(gates)
+        gated = (_sigmoid(gates), sw, S, N, columns, ps)
+        _, dW, dg = _idm_loss_and_grad(W, X, A, penalty, gated)
         eps = 1e-6
         for i, j in [(0, 0), (enc.n_features + 4, 3), (W.shape[0] - 1, 6)]:
             Wp, Wm = W.copy(), W.copy()
@@ -191,6 +197,168 @@ class TestGradients:
             gm[k] -= eps
             fd = (loss_at(W, gp) - loss_at(W, gm)) / (2 * eps)
             assert abs(dg[k] - fd) / max(abs(fd), 1e-8) < 1e-4
+
+
+# Per-batch reference trainers: the textbook formulas, one batch at a time,
+# with a per-run softmax and np.add.at scatters. Training must match them
+# bit for bit, however it batches, precomputes or scatters.
+
+
+def _ref_softmax_runs(logits, runs):
+    probs = np.empty_like(logits)
+    n = logits.shape[0]
+    for start, stop, count, size in runs:
+        seg = logits[:, start:stop].reshape(n, count, size)
+        seg = seg - seg.max(axis=2, keepdims=True)
+        np.exp(seg, out=seg)
+        seg /= seg.sum(axis=2, keepdims=True)
+        probs[:, start:stop] = seg.reshape(n, count * size)
+    return probs
+
+
+def _ref_train_world_model(data, enc, hyper, rng):
+    S = np.stack([t.features for t in data])
+    A = np.asarray([int(t.action) for t in data])
+    N = np.stack([t.next_features for t in data])
+    W = rng.normal(0.0, hyper.init_scale, size=(8, S.shape[1] + 1, N.shape[1]))
+    X = np.concatenate([S, np.ones((len(data), 1))], axis=1)
+    G = enc.n_groups
+    curve = []
+    for _ in range(hyper.epochs):
+        batches = []
+        for a in range(7):
+            rows = np.flatnonzero(A == a)
+            rows = rows[rng.permutation(len(rows))]
+            batches += [rows[i:i + hyper.batch_size] for i in range(0, len(rows), hyper.batch_size)]
+        losses = []
+        for bi in rng.permutation(len(batches)):
+            b = batches[bi]
+            a = A[b[0]]
+            probs = _ref_softmax_runs(X[b] @ (W[0] + W[1 + a]), enc.run_slices)
+            logs = np.where(N[b] > 0, np.log(np.maximum(probs, 1e-300)), 0.0)
+            losses.append(float((-logs.sum(axis=1) / G).mean()))
+            g = X[b].T @ ((probs - N[b]) / (len(b) * G))
+            W[0] -= hyper.learning_rate * g
+            W[1 + a] -= hyper.learning_rate * g
+        curve.append(float(np.mean(losses)))
+    return W, curve
+
+
+def _ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _ref_idm_step(W, gates, learn_gates, sw, S, S2, A, enc, ps):
+    n, d = S.shape
+    m = np.ones(d) if gates is None else _ref_sigmoid(gates)
+    cs, cs2 = enc.group_argmax(S), enc.group_argmax(S2)
+    cols = ps.base + cs * ps.group_size + cs2
+    i_idx, j_idx = ps.group_start + cs, ps.group_start + cs2
+    pairs = np.zeros((n, ps.n_columns))
+    np.add.at(pairs, (np.arange(n)[:, None], cols), m[i_idx] * m[j_idx] * ps.scale)
+    X = np.concatenate([S * m, S2 * m - S * m, pairs, np.ones((n, 1))], axis=1)
+    T = np.zeros((n, 7))
+    T[np.arange(n), A] = 1.0
+    logits = X @ W
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    ce = float(-np.log(np.maximum((probs * T).sum(axis=1), 1e-300)).mean())
+    dlogits = (probs - T) / n
+    dW = X.T @ dlogits
+    if not learn_gates:
+        return ce + sw * float(m.mean()), dW, None
+    dX = dlogits @ W.T
+    dm = (dX[:, :d] * S).sum(axis=0)
+    dm += (dX[:, d:2 * d] * (S2 - S)).sum(axis=0)
+    dpairs = dX[np.arange(n)[:, None], 2 * d + cols] * ps.scale
+    np.add.at(dm, i_idx, dpairs * m[j_idx])
+    np.add.at(dm, j_idx, dpairs * m[i_idx])
+    dm += sw / d
+    return ce + sw * float(m.mean()), dW, dm * m * (1.0 - m)
+
+
+def _ref_train_idm(data, sw, hyper, rng, enc):
+    S = np.stack([t.features for t in data])
+    A = np.asarray([int(t.action) for t in data])
+    S2 = np.stack([t.next_features for t in data])
+    ps = _pair_structure(enc)
+    W = rng.normal(0.0, hyper.init_scale, size=(ps.input_width, 7))
+    gates = np.full(enc.n_features, float(hyper.gate_init)) if sw > 0 else None
+    warmup = int(np.ceil(hyper.gate_warmup_frac * hyper.epochs))
+    curve = []
+    for epoch in range(hyper.epochs):
+        order = rng.permutation(len(data))
+        learn = gates is not None and epoch >= warmup
+        losses = []
+        for i in range(0, len(order), hyper.batch_size):
+            b = order[i:i + hyper.batch_size]
+            loss, dW, dg = _ref_idm_step(W, gates, learn, sw, S[b], S2[b], A[b], enc, ps)
+            W -= hyper.learning_rate * dW
+            if learn:
+                gates -= hyper.resolved_gate_lr(enc.n_features) * dg
+            losses.append(loss)
+        curve.append(float(np.mean(losses)))
+    return W, gates, curve
+
+
+EXACT_ENVS = {
+    "5x5": EnvConfig(width=5, height=5, n_objects=4, n_noisy_floors=2, horizon=40),
+    "8x8": EnvConfig(width=8, height=8, n_objects=6, n_noisy_floors=2, horizon=40),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(EXACT_ENVS))
+def exact_case(request):
+    env = EXACT_ENVS[request.param]
+    rng = np.random.default_rng(50)
+    data = collect_task_play(env, 50, rng) + collect_random_play(env, 30, rng)
+    return data, env.encoder()
+
+
+class TestExactKernels:
+    """Training equals the per-batch reference loops bit for bit."""
+
+    WM_HYPER = TrainConfig(learning_rate=0.3, batch_size=8, epochs=3)
+    IDM_HYPER = TrainConfig(learning_rate=0.03, batch_size=16, epochs=5)
+
+    def test_softmax_runs_matches_per_run_reference(self, exact_case):
+        _, enc = exact_case
+        logits = np.random.default_rng(51).normal(0.0, 30.0, size=(13, enc.n_features))
+        assert np.array_equal(_softmax_runs(logits, enc), _ref_softmax_runs(logits, enc.run_slices))
+
+    def test_world_model_matches_reference(self, exact_case):
+        data, enc = exact_case
+        wm = train_world_model(data, enc, self.WM_HYPER, np.random.default_rng(52))
+        W, curve = _ref_train_world_model(data, enc, self.WM_HYPER, np.random.default_rng(52))
+        assert np.array_equal(wm.weights, W)
+        assert wm.loss_curve == curve
+
+    def test_ensemble_matches_reference(self, exact_case):
+        data, enc = exact_case
+        ens = train_ensemble(data, enc, 2, self.WM_HYPER, np.random.default_rng(53))
+        for member, child in zip(ens.members, np.random.default_rng(53).spawn(2)):
+            idx = child.integers(len(data), size=len(data))
+            W, curve = _ref_train_world_model([data[i] for i in idx], enc, self.WM_HYPER, child)
+            assert np.array_equal(member.weights, W)
+            assert member.loss_curve == curve
+
+    @pytest.mark.parametrize("sw", [0.0, 0.1], ids=["vanilla", "sparse"])
+    def test_idm_matches_reference(self, exact_case, sw):
+        data, enc = exact_case
+        # 5 epochs at warm-up 0.3: two frozen epochs, then three learning the gates.
+        idm = train_idm(data, sw, self.IDM_HYPER, np.random.default_rng(54), encoder=enc)
+        W, gates, curve = _ref_train_idm(data, sw, self.IDM_HYPER, np.random.default_rng(54), enc)
+        assert np.array_equal(idm.weights, W)
+        assert (idm.gate_logits is None) == (gates is None)
+        if gates is not None:
+            assert np.array_equal(idm.gate_logits, gates)
+        assert idm.loss_curve == curve
 
 
 class TestInverseModel:
@@ -542,10 +710,18 @@ class TestCheckpoints:
         (lambda o: o["hyper"].update(batch_size=True), "hyper.batch_size"),
         (lambda o: o["hyper"].update(init_scale=False), "hyper.init_scale"),
         (lambda o: o["hyper"].update(gate_lr="fast"), "hyper.gate_lr"),
+        (lambda o: o["hyper"].update(batch_size=0), "hyper.batch_size"),
+        (lambda o: o["hyper"].update(epochs=-1), "hyper.epochs"),
+        (lambda o: o["hyper"].update(learning_rate=-0.1), "hyper.learning_rate"),
+        (lambda o: o["hyper"].update(init_scale=-1.0), "hyper.init_scale"),
+        (lambda o: o["hyper"].update(gate_warmup_frac=2.0), "hyper.gate_warmup_frac"),
+        (lambda o: o["hyper"].update(gate_lr=0.0), "hyper.gate_lr"),
     ], ids=["no-loss-curve", "no-weights", "bad-base64", "short-payload",
             "shape-off-encoder", "shape-not-a-list", "unknown-hyper", "missing-hyper",
             "bad-env", "loss-curve-type", "hyper-str-float", "hyper-list-int",
-            "hyper-float-int", "hyper-bool-int", "hyper-bool-float", "hyper-str-optional"])
+            "hyper-float-int", "hyper-bool-int", "hyper-bool-float", "hyper-str-optional",
+            "batch-size-0", "epochs-negative", "lr-negative", "init-scale-negative",
+            "warmup-above-1", "gate-lr-0"])
     def test_malformed_world_model_raises_parse_error(self, trained_wm, tmp_path,
                                                       mutate, key):
         path = tmp_path / "wm.json"
