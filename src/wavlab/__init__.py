@@ -30,13 +30,8 @@ from .datasets import (  # noqa: F401
 from .models import (  # noqa: F401
     Ensemble,
     InverseModel,
-    SubgoalGenerator,
     TrainConfig,
     WorldModel,
-    fit_subgoal_generator,
-    infer_action,
-    predict_next,
-    sample_subgoals,
     train_ensemble,
     train_idm,
     train_world_model,
@@ -50,8 +45,6 @@ from .verify import (  # noqa: F401
     baseline_scores,
     run_exploration,
     score_candidates,
-    wav_score_env,
-    wav_score_pool,
 )
 from .theory import (  # noqa: F401
     GapReport,

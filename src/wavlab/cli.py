@@ -7,9 +7,10 @@ the counter-based scheme in :mod:`wavlab.rng`, results land in
 ``<out>/<run_id>/`` where ``run_id`` hashes the resolved config and seed, and
 all CSVs are byte-stable across reruns except for wall-time columns.
 
-Configs are JSON with strict validation: unknown keys and values whose JSON
-type does not match the field's annotation are rejected, and every omitted
-key takes the documented default.
+Configs are JSON with strict validation: unknown keys, values whose JSON
+type does not match the field's annotation, and names outside a key's known
+choices are rejected before any work starts. Every omitted key takes the
+documented default.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .metrics import kendall, spearman
 from .models import (
     TrainConfig,
     _json_type_error,
-    fit_subgoal_generator,
     save_model,
     train_ensemble,
     train_idm,
@@ -52,6 +52,7 @@ from .theory import (
 from .verify import (
     CONSULTED_MODELS,
     DEFAULT_DISTANCE,
+    DISTANCES,
     STRATEGIES,
     ExplorationConfig,
     _label_free_losses,
@@ -70,11 +71,28 @@ THEORY_COLUMNS = (
     "factor_dim", "factor_stoch", "factor_sample", "rel_err_EF", "low_trials",
 )
 LOW_TRIALS = 1000
+TLCM_VARIANTS = ("base", "aliasing", "back-action")
 
 
 # ---------------------------------------------------------------------------
 # Config schemas
 # ---------------------------------------------------------------------------
+
+
+def _choice(default, known):
+    """A config field whose value, or each entry of a list value, is one of ``known``."""
+    return field(default=default, metadata={"known": list(known)})
+
+
+class _Choices:
+    """Base of the configs whose :func:`_choice` fields reject unknown values."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            known, value = f.metadata.get("known"), getattr(self, f.name)
+            for v in value if isinstance(value, (list, tuple)) else [value]:
+                if known is not None and v not in known:
+                    raise ConfigError(f"{f.name}: unknown value {v!r}; known: {known}")
 
 
 def _checked_value(value, hint, where: str):
@@ -101,7 +119,7 @@ def _from_dict(cls, obj, where: str):
     }
     try:
         return cls(**kwargs)
-    except ConfigError as err:  # a range check naming its key
+    except ConfigError as err:  # a range or choice check naming its key
         raise ConfigError(f"{where}.{err}") from err
 
 
@@ -147,17 +165,18 @@ class HyperSection:
 
 
 @dataclass(frozen=True)
-class GenDataConfig:
+class GenDataConfig(_Choices):
     env: EnvSection = field(default_factory=EnvSection)
     split: SplitSection = field(default_factory=SplitSection)
-    source: str = "task"  # "task" or "random"
+    source: str = _choice("task", ("task", "random"))
     collect_margin: float = 1.1
 
 
 @dataclass(frozen=True)
-class TrainCmdConfig:
+class TrainCmdConfig(_Choices):
     dataset: str = ""
-    models: tuple = ("world", "idm-vanilla", "idm-sparse", "subgoal")
+    models: tuple = _choice(("world", "idm-vanilla", "idm-sparse"),
+                            ("world", "idm-vanilla", "idm-sparse", "ensemble"))
     wm: HyperSection = field(default_factory=HyperSection)
     idm: HyperSection = field(default_factory=HyperSection)
     sparsity_weight: float = 0.1
@@ -165,32 +184,32 @@ class TrainCmdConfig:
 
 
 @dataclass(frozen=True)
-class RankCorrConfig:
+class RankCorrConfig(_Choices):
     dataset: str = ""
-    strategies: tuple = (
+    strategies: tuple = _choice((
         "wav-sparse", "wav-vanilla", "uncertainty", "progress", "random", "oracle",
-    )
+    ), STRATEGIES)
     seeds: int = 5
     n_candidates: int = 300
     warmup_budget: int = 100
     ensemble_size: int = 3
     sparsity_weight: float = 0.1
-    distance: str = DEFAULT_DISTANCE
+    distance: str = _choice(DEFAULT_DISTANCE, DISTANCES)
     wm: HyperSection = field(default_factory=HyperSection)
     idm: HyperSection = field(default_factory=HyperSection)
 
 
 @dataclass(frozen=True)
-class ExploreConfig:
+class ExploreConfig(_Choices):
     dataset: str = ""
-    strategies: tuple = ("random", "wav-sparse", "oracle")
+    strategies: tuple = _choice(("random", "wav-sparse", "oracle"), STRATEGIES)
     seeds: int = 5
     rounds: int = 3
     budget: int = 100
     ensemble_size: int = 3
     sparsity_weight: float = 0.1
-    distance: str = DEFAULT_DISTANCE
-    checkpoints: str = "round"  # "round", "final", or "none"
+    distance: str = _choice(DEFAULT_DISTANCE, DISTANCES)
+    checkpoints: str = _choice("round", ("round", "final", "none"))
     wm: HyperSection = field(default_factory=HyperSection)
     idm: HyperSection = field(default_factory=HyperSection)
 
@@ -237,10 +256,10 @@ class TheoryConfig:
 
 
 @dataclass(frozen=True)
-class TlcmConfig:
+class TlcmConfig(_Choices):
     seed_size: int = 600
     n_eval: int = 1000
-    variants: tuple = ("base", "aliasing", "back-action")
+    variants: tuple = _choice(TLCM_VARIANTS, TLCM_VARIANTS)
 
 
 _COMMAND_CONFIGS = {
@@ -357,10 +376,8 @@ def cmd_gen_data(config: GenDataConfig, seed: int, run: RunDir) -> int:
     n_collect = int(np.ceil(split_config.total * config.collect_margin))
     if config.source == "task":
         source = datasets.collect_task_play(env, n_collect, rng)
-    elif config.source == "random":
-        source = datasets.collect_random_play(env, n_collect, rng)
     else:
-        raise ConfigError(f"unknown source {config.source!r}; use 'task' or 'random'")
+        source = datasets.collect_random_play(env, n_collect, rng)
     split = datasets.build_split(source, split_config, rng, env)
     datasets.save(split, run.file("split.wavsplit"))
     run.extra["partitions"] = {
@@ -413,14 +430,10 @@ def cmd_train(config: TrainCmdConfig, seed: int, run: RunDir) -> int:
             trained[name] = train_idm(
                 labeled, config.sparsity_weight, idm_hyper, rng, encoder=encoder
             )
-        elif name == "ensemble":
+        else:  # "ensemble"
             trained[name] = train_ensemble(
                 labeled, encoder, config.ensemble_size, wm_hyper, rng
             )
-        elif name == "subgoal":
-            trained[name] = fit_subgoal_generator(split.video, encoder=encoder)
-        else:
-            raise ConfigError(f"unknown model kind {name!r}")
     metrics = {}
     for name, model in trained.items():
         save_model(model, run.file(f"models/{name}.json"))
@@ -473,11 +486,6 @@ def cmd_explore(config: ExploreConfig, seed: int, run: RunDir, jobs: int = 1) ->
         raise ConfigError("explore needs a 'dataset' path in the config")
     if not Path(config.dataset).exists():
         raise ConfigError(f"dataset file not found: {config.dataset}")
-    for strategy in config.strategies:
-        if strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {strategy!r}; known: {STRATEGIES}")
-    if config.checkpoints not in ("round", "final", "none"):
-        raise ConfigError("checkpoints must be 'round', 'final', or 'none'")
 
     # Loading here also reports a malformed split before any worker starts.
     split = datasets.load(config.dataset)
@@ -715,16 +723,11 @@ def _theory_row(report, low: int) -> tuple:
 
 
 def cmd_tlcm_demo(config: TlcmConfig, seed: int, run: RunDir) -> int:
-    flags = {
-        "base": dict(aliasing=False, back_action=False),
-        "aliasing": dict(aliasing=True, back_action=False),
-        "back-action": dict(aliasing=False, back_action=True),
-    }
     rows = []
     for variant in config.variants:
-        if variant not in flags:
-            raise ConfigError(f"unknown variant {variant!r}; known: {sorted(flags)}")
-        spec = tlcm.default_tlcm(**flags[variant])
+        spec = tlcm.default_tlcm(
+            aliasing=variant == "aliasing", back_action=variant == "back-action"
+        )
         report = tlcm.tlcm_demo(
             spec, config.seed_size, substream(seed, "tlcm", variant),
             n_eval=config.n_eval,

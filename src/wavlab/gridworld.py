@@ -50,7 +50,6 @@ __all__ = [
     "step",
     "generate_layout",
     "front_pos",
-    "resample_floors",
     "changed_elements",
     "element_value",
     "validate_state",
@@ -165,23 +164,6 @@ def validate_state(state: GridState) -> None:
             raise ValueError(f"floor color {color} not in palette")
 
 
-def _resample_floors(state: GridState, rng: Optional[np.random.Generator]) -> dict[Pos, int]:
-    if not state.noisy_floors:
-        return {}
-    if rng is None:
-        raise ValueError("state has noisy floors; step requires a generator")
-    # Sorted iteration pins the draw order, so a fixed seed reproduces colors.
-    return {
-        pos: int(rng.integers(state.floor_palette))
-        for pos in sorted(state.noisy_floors)
-    }
-
-
-def resample_floors(state: GridState, rng: Optional[np.random.Generator]) -> GridState:
-    """The same state with freshly drawn noisy floor colors."""
-    return replace(state, noisy_floors=_resample_floors(state, rng))
-
-
 def step(state: GridState, action: Action, rng: Optional[np.random.Generator] = None) -> GridState:
     """Apply one action and return the successor state.
 
@@ -228,11 +210,15 @@ def step(state: GridState, action: Action, rng: Optional[np.random.Generator] = 
     else:
         raise ValueError(f"unknown action {action!r}")
 
+    if state.noisy_floors and rng is None:
+        raise ValueError("state has noisy floors; step requires a generator")
+    # Sorted iteration pins the draw order, so a fixed seed reproduces colors.
+    floors = {pos: int(rng.integers(state.floor_palette)) for pos in sorted(state.noisy_floors)}
     return GridState(
         width=state.width,
         height=state.height,
         cells=cells,
-        noisy_floors=_resample_floors(state, rng),
+        noisy_floors=floors,
         agent=AgentState(pos=pos, dir=direction, carried=carried),
         floor_palette=state.floor_palette,
     )

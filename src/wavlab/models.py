@@ -20,8 +20,6 @@ interaction features:
   group's masked s-feature with its masked s'-feature, in one transition
   table per family of groups. The mask is learned exactly when the sparsity
   weight is positive; at weight 0 there are no gates and the mask is one.
-- :class:`SubgoalGenerator`: nonparametric prior over plausible successor
-  states, indexed by a local context key and fit on action-free transitions.
 - :class:`Ensemble`: world models trained on different seeds/bootstraps;
   their prediction variance is the epistemic-uncertainty signal.
 """
@@ -33,22 +31,13 @@ import json
 import math
 import typing
 from dataclasses import asdict, dataclass, field
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, TrainingDivergedError, UnsupportedVersionError
-from .datasets import LabeledTransition, UnlabeledTransition, stack_labeled
-from .gridworld import (
-    Action,
-    Encoder,
-    GridState,
-    ObjectKind,
-    front_pos,
-    resample_floors,
-    step,
-)
+from .datasets import LabeledTransition, stack_labeled
+from .gridworld import Action, Encoder
 
 __all__ = [
     "TrainConfig",
@@ -57,16 +46,10 @@ __all__ = [
     "WorldModel",
     "InverseModel",
     "Ensemble",
-    "SubgoalGenerator",
-    "DeltaKind",
     "train_world_model",
     "train_idm",
     "train_ensemble",
-    "disagreement",
-    "fit_subgoal_generator",
-    "sample_subgoals",
-    "infer_action",
-    "predict_next",
+    "disagreement_batch",
     "action_accuracy",
     "persistence_world_model",
     "save_model",
@@ -214,14 +197,6 @@ class WorldModel:
     def per_item_loss(self, feats: np.ndarray, actions, next_feats: np.ndarray) -> np.ndarray:
         probs = self.predict_proba(feats, actions)
         return _per_item_ce(probs, np.atleast_2d(next_feats), self.encoder.n_groups)
-
-
-def predict_next(wm: WorldModel, s_features: np.ndarray, action: Action):
-    """Argmax one-hot prediction plus the full per-group distributions."""
-    probs = wm.predict_proba(np.atleast_2d(s_features), [int(action)])
-    pred = wm.argmax_features(probs)[0]
-    dists = [probs[0, g.start : g.stop].copy() for g in wm.encoder.groups]
-    return pred, dists
 
 
 def _wm_loss_and_grad(
@@ -406,6 +381,7 @@ class InverseModel:
         return _row_softmax(self.inputs(feats, next_feats) @ self.weights)
 
     def infer_batch(self, feats: np.ndarray, next_feats: np.ndarray):
+        """Most likely action per row (ties break to the lowest index) and the distributions."""
         probs = self.predict_proba(np.atleast_2d(feats), np.atleast_2d(next_feats))
         return probs.argmax(axis=1), probs
 
@@ -424,15 +400,6 @@ def _idm_inputs(mask, feats, next_feats, columns, ps: _PairStructure) -> np.ndar
     pairs = np.bincount(flat, weights, n * ps.n_columns).reshape(n, ps.n_columns)
     masked = feats * mask
     return np.concatenate([masked, next_feats * mask - masked, pairs, np.ones((n, 1))], axis=1)
-
-
-def infer_action(idm: InverseModel, s_features: np.ndarray, next_features: np.ndarray):
-    """Most likely connecting action plus the full distribution.
-
-    Ties break to the lowest action index (argmax is lexicographic).
-    """
-    actions, probs = idm.infer_batch(s_features, next_features)
-    return Action(int(actions[0])), probs[0]
 
 
 def _idm_loss_and_grad(
@@ -580,12 +547,8 @@ def train_ensemble(
     return Ensemble(members=members)
 
 
-def disagreement(ens: Ensemble, s_features: np.ndarray, action: Action) -> float:
-    """Mean over groups of the across-member variance of the predictions."""
-    return float(disagreement_batch(ens, np.atleast_2d(s_features), [int(action)])[0])
-
-
 def disagreement_batch(ens: Ensemble, feats: np.ndarray, actions) -> np.ndarray:
+    """Per item, the mean over groups of the across-member prediction variance."""
     stacked = np.stack([m.predict_proba(feats, actions) for m in ens.members])
     var = stacked.var(axis=0)
     n = feats.shape[0]
@@ -594,232 +557,6 @@ def disagreement_batch(ens: Ensemble, feats: np.ndarray, actions) -> np.ndarray:
         for start, stop, count, size in ens.members[0].encoder.run_slices
     ], axis=1)
     return per_group.mean(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Subgoal generator
-# ---------------------------------------------------------------------------
-
-
-class DeltaKind(Enum):
-    """Relative-frame transition templates observed in action-free data."""
-
-    STAY = "stay"
-    TURN_LEFT = "turn_left"
-    TURN_RIGHT = "turn_right"
-    ADVANCE = "advance"
-    TAKE_FRONT = "take_front"
-    PUT_FRONT = "put_front"
-    FLIP_FRONT = "flip_front"
-    EXCHANGE_BOX = "exchange_box"
-    EXCHANGE_FRONT = "exchange_front"
-
-
-_DELTA_ACTION = {
-    DeltaKind.TURN_LEFT: Action.TURN_LEFT,
-    DeltaKind.TURN_RIGHT: Action.TURN_RIGHT,
-    DeltaKind.ADVANCE: Action.FORWARD,
-    DeltaKind.TAKE_FRONT: Action.PICKUP,
-    DeltaKind.PUT_FRONT: Action.DROP,
-    DeltaKind.FLIP_FRONT: Action.TOGGLE,
-    DeltaKind.EXCHANGE_BOX: Action.TOGGLE,
-    DeltaKind.EXCHANGE_FRONT: Action.SWAP,
-}
-
-
-def classify_delta(s: GridState, s2: GridState) -> Optional[DeltaKind]:
-    """Template connecting s to s2, ignoring noisy floor colors."""
-    a1, a2 = s.agent, s2.agent
-    same_cells = s.cells == s2.cells
-    if same_cells and a1 == a2:
-        return DeltaKind.STAY
-    if same_cells and a1.pos == a2.pos and a1.carried == a2.carried:
-        turn = (a2.dir - a1.dir) % 4
-        if turn == 3:
-            return DeltaKind.TURN_LEFT
-        if turn == 1:
-            return DeltaKind.TURN_RIGHT
-        return None
-    if (
-        same_cells
-        and a1.dir == a2.dir
-        and a1.carried == a2.carried
-        and a2.pos == front_pos(s)
-    ):
-        return DeltaKind.ADVANCE
-    if a1.pos != a2.pos or a1.dir != a2.dir:
-        return None
-    fp = front_pos(s)
-    rest1 = {p: o for p, o in s.cells.items() if p != fp}
-    rest2 = {p: o for p, o in s2.cells.items() if p != fp}
-    if rest1 != rest2:
-        return None
-    f1, f2 = s.cells.get(fp), s2.cells.get(fp)
-    c1, c2 = a1.carried, a2.carried
-    if f1 is not None and f2 is None and c1 is None and c2 == f1:
-        return DeltaKind.TAKE_FRONT
-    if f1 is None and c1 is not None and f2 == c1 and c2 is None:
-        return DeltaKind.PUT_FRONT
-    if f1 is None or f2 is None:
-        return None
-    if (
-        f1.kind in (ObjectKind.KEY, ObjectKind.BALL)
-        and f2.kind is f1.kind
-        and f2.color is f1.color.toggled()
-        and f2.contents is None
-        and c1 == c2
-    ):
-        return DeltaKind.FLIP_FRONT
-    if (
-        f1.kind is ObjectKind.BOX
-        and f2.kind is ObjectKind.BOX
-        and f2.color is f1.color
-        and f2.contents == c1
-        and c2 == f1.contents
-    ):
-        return DeltaKind.EXCHANGE_BOX
-    if c1 is not None and f2 == c1 and c2 == f1:
-        return DeltaKind.EXCHANGE_FRONT
-    return None
-
-
-def delta_applicable(kind: DeltaKind, state: GridState) -> bool:
-    if kind in (DeltaKind.STAY, DeltaKind.TURN_LEFT, DeltaKind.TURN_RIGHT):
-        return True
-    fp = front_pos(state)
-    front = state.cells.get(fp)
-    carried = state.agent.carried
-    if kind is DeltaKind.ADVANCE:
-        return state.in_interior(fp) and front is None
-    if kind is DeltaKind.TAKE_FRONT:
-        return front is not None and carried is None
-    if kind is DeltaKind.PUT_FRONT:
-        return (
-            carried is not None
-            and state.in_interior(fp)
-            and front is None
-            and fp not in state.noisy_floors
-        )
-    if kind is DeltaKind.FLIP_FRONT:
-        return front is not None and front.kind in (ObjectKind.KEY, ObjectKind.BALL)
-    if kind is DeltaKind.EXCHANGE_BOX:
-        return (
-            front is not None
-            and front.kind is ObjectKind.BOX
-            and not (carried is not None and carried.kind is ObjectKind.BOX)
-        )
-    if kind is DeltaKind.EXCHANGE_FRONT:
-        return front is not None and carried is not None
-    raise ValueError(f"unknown delta kind {kind!r}")
-
-
-def apply_delta(
-    kind: DeltaKind, state: GridState, rng: Optional[np.random.Generator]
-) -> GridState:
-    """Apply an applicable template; floors resample like an environment step."""
-    if not delta_applicable(kind, state):
-        raise ValueError(f"delta {kind.value} is not applicable here")
-    if kind is DeltaKind.STAY:
-        return resample_floors(state, rng)
-    return step(state, _DELTA_ACTION[kind], rng)
-
-
-def _context_key(state: GridState) -> tuple[int, int]:
-    """Agent direction plus the content class of the front cell (-1 for wall)."""
-    fp = front_pos(state)
-    if not state.in_interior(fp):
-        return (state.agent.dir, -1)
-    obj = state.cells.get(fp)
-    if obj is None:
-        return (state.agent.dir, 0)
-    return (state.agent.dir, 1 + 2 * int(obj.kind) + int(obj.color))
-
-
-@dataclass(eq=False)
-class SubgoalGenerator:
-    """Context-keyed multiset of observed transition templates."""
-
-    encoder: Encoder
-    smoothing: float
-    by_key: dict[tuple[int, int], dict[DeltaKind, int]]
-    global_counts: dict[DeltaKind, int]
-
-
-def fit_subgoal_generator(
-    video: Sequence[UnlabeledTransition],
-    smoothing: float = 0.0,
-    encoder: Optional[Encoder] = None,
-) -> SubgoalGenerator:
-    """Index action-free transitions by context; store their templates."""
-    if not video:
-        raise ConfigError("cannot fit a subgoal generator on empty video data")
-    if encoder is None:
-        t0 = video[0]
-        encoder = Encoder(t0.state.width, t0.state.height, t0.state.floor_palette)
-    by_key: dict[tuple[int, int], dict[DeltaKind, int]] = {}
-    global_counts: dict[DeltaKind, int] = {}
-    for item in video:
-        kind = classify_delta(item.state, item.next_state)
-        if kind is None:
-            continue
-        key = _context_key(item.state)
-        bucket = by_key.setdefault(key, {})
-        bucket[kind] = bucket.get(kind, 0) + 1
-        global_counts[kind] = global_counts.get(kind, 0) + 1
-    return SubgoalGenerator(
-        encoder=encoder, smoothing=smoothing, by_key=by_key, global_counts=global_counts
-    )
-
-
-def _applicable_weights(
-    gen: SubgoalGenerator, counts: dict[DeltaKind, int], state: GridState
-) -> tuple[list[DeltaKind], np.ndarray]:
-    kinds, weights = [], []
-    total_global = sum(gen.global_counts.values()) or 1
-    for kind, count in sorted(counts.items(), key=lambda kv: kv[0].value):
-        if not delta_applicable(kind, state):
-            continue
-        w = count + gen.smoothing * gen.global_counts.get(kind, 0) / total_global
-        if w > 0:
-            kinds.append(kind)
-            weights.append(w)
-    return kinds, np.asarray(weights, dtype=np.float64)
-
-
-def sample_subgoals(
-    gen: SubgoalGenerator, s_features: np.ndarray, K: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Sample K plausible successors of the state encoded by ``s_features``.
-
-    Draws without replacement from the applicable template occurrences when
-    the store holds at least K of them, with replacement otherwise. Unseen
-    contexts back off to the global template multiset; when nothing applies
-    the identity template is used.
-    """
-    if K < 1:
-        raise ConfigError("K must be >= 1")
-    state = gen.encoder.decode(np.asarray(s_features))
-    kinds, weights = _applicable_weights(gen, gen.by_key.get(_context_key(state), {}), state)
-    if not kinds:
-        kinds, weights = _applicable_weights(gen, gen.global_counts, state)
-    if not kinds:
-        kinds, weights = [DeltaKind.STAY], np.ones(1)
-
-    integral = gen.smoothing == 0.0
-    total = weights.sum()
-    if integral and total >= K:
-        positions = np.sort(rng.choice(int(total), size=K, replace=False))
-        bounds = np.cumsum(weights)
-        chosen = [kinds[int(np.searchsorted(bounds, p, side="right"))] for p in positions]
-    else:
-        idx = rng.choice(len(kinds), size=K, replace=True, p=weights / total)
-        chosen = [kinds[int(i)] for i in idx]
-
-    out = []
-    for kind in chosen:
-        successor = apply_delta(kind, state, rng)
-        out.append(gen.encoder.encode(successor))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -862,17 +599,6 @@ def _model_payload(model) -> dict:
         }
     if isinstance(model, Ensemble):
         return {"kind": "ensemble", "members": [_model_payload(m) for m in model.members]}
-    if isinstance(model, SubgoalGenerator):
-        return {
-            "kind": "subgoal",
-            "env": _encoder_meta(model.encoder),
-            "smoothing": model.smoothing,
-            "store": [
-                [list(key), delta.value, count]
-                for key, bucket in sorted(model.by_key.items())
-                for delta, count in sorted(bucket.items(), key=lambda kv: kv[0].value)
-            ],
-        }
     raise ConfigError(f"cannot serialize model of type {type(model)!r}")
 
 
@@ -958,11 +684,6 @@ def _hyper_from(obj: dict, where: str) -> TrainConfig:
     return TrainConfig(**hyper)
 
 
-def _json_shape(value):
-    """Lists as lists of their items' shapes, anything else as its type."""
-    return [_json_shape(v) for v in value] if type(value) is list else type(value)
-
-
 def _loss_curve_from(obj: dict, where: str) -> list[float]:
     curve = _key(obj, "loss_curve", where, (list,))
     if not all(isinstance(v, _NUMBER) and not isinstance(v, bool) for v in curve):
@@ -978,37 +699,26 @@ def _model_from_payload(obj, where: str = ""):
         members = _key(obj, "members", where, (list,))
         if len(members) < 2:
             raise ParseError(f"key {where + 'members'!r}: an ensemble needs at least 2 members")
-        return Ensemble(members=[
-            _model_from_payload(m, f"{where}members[{i}].") for i, m in enumerate(members)
-        ])
-    if kind not in ("world", "idm", "subgoal"):
+        loaded = []
+        for i, member in enumerate(members):
+            at = f"{where}members[{i}]."
+            if isinstance(member, dict) and member.get("kind") != "world":
+                raise ParseError(
+                    f"key {at + 'kind'!r}: an ensemble member must be a world model, "
+                    f"got {member.get('kind')!r}"
+                )
+            loaded.append(_model_from_payload(member, at))
+            env, env0 = _encoder_meta(loaded[i].encoder), _encoder_meta(loaded[0].encoder)
+            if env != env0:
+                raise ParseError(f"key {at + 'env'!r}: {env} differs from members[0]'s {env0}")
+        return Ensemble(members=loaded)
+    if kind not in ("world", "idm"):
         raise ParseError(f"unknown model kind {kind!r}")
     env = _key(obj, "env", where, (dict,))
     try:
         encoder = Encoder(env["width"], env["height"], env["floor_palette"])
     except (KeyError, TypeError, ConfigError) as err:
         raise ParseError(f"key {where + 'env'!r}: {err}") from err
-    if kind == "subgoal":
-        by_key: dict[tuple[int, int], dict[DeltaKind, int]] = {}
-        global_counts: dict[DeltaKind, int] = {}
-        for entry in _key(obj, "store", where, (list,)):
-            if _json_shape(entry) != [[int, int], str, int]:
-                raise ParseError(
-                    f"key {where + 'store'!r}: entry {entry!r} is not [[int, int], str, int]"
-                )
-            key, delta_name, count = entry
-            try:
-                delta = DeltaKind(delta_name)
-            except ValueError as err:
-                raise ParseError(f"key {where + 'store'!r}: {err}") from err
-            by_key.setdefault((key[0], key[1]), {})[delta] = count
-            global_counts[delta] = global_counts.get(delta, 0) + count
-        return SubgoalGenerator(
-            encoder=encoder,
-            smoothing=_key(obj, "smoothing", where, _NUMBER),
-            by_key=by_key,
-            global_counts=global_counts,
-        )
     hyper = _hyper_from(obj, where)
     d = encoder.n_features
     if kind == "world":

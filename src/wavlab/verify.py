@@ -1,10 +1,10 @@
 """Acquisition scoring and the multi-round exploration loop.
 
-The reverse-cycle score chains subgoal proposal, action inference, and a
-forward rollout, then measures the disagreement between the proposed and
-predicted successors. Pool mode (the primary mode) uses each candidate's
-observed successor as the on-manifold subgoal; env mode samples K subgoals
-from the generator and keeps the most surprising one.
+The reverse-cycle score verifies an observed transition (s, s'): the
+inverse model infers the action connecting s to the subgoal s', the world
+model rolls s forward under that action, and the score is the discrepancy
+between the subgoal and the prediction. Every candidate is scored against
+its own observed successor, so subgoals always lie on the data manifold.
 
 Baselines: random, ensemble-disagreement uncertainty, learning progress,
 and the oracle family, which is the only code allowed to read hidden pool
@@ -30,19 +30,17 @@ from .datasets import (
     stack_labeled,
 )
 from .errors import ConfigError, MetricUndefinedError, PoolExhaustedError
-from .gridworld import Action, Encoder
+from .gridworld import Encoder
 from .metrics import dynamics_accuracy, kendall, prediction_loss, spearman
 from .models import (
     DEFAULT_IDM_HYPER,
     DEFAULT_WM_HYPER,
     Ensemble,
     InverseModel,
-    SubgoalGenerator,
     TrainConfig,
     WorldModel,
     _per_item_ce,
     disagreement_batch,
-    sample_subgoals,
     train_ensemble,
     train_idm,
     train_world_model,
@@ -55,15 +53,13 @@ __all__ = [
     "ExplorationConfig",
     "STRATEGIES",
     "CONSULTED_MODELS",
-    "group_distance",
-    "wav_score_pool",
-    "wav_score_env",
     "baseline_scores",
     "select_top",
     "run_exploration",
     "score_candidates",
     "train_models",
     "DEFAULT_DISTANCE",
+    "DISTANCES",
 ]
 
 STRATEGIES = (
@@ -125,12 +121,8 @@ class ModelSet:
     prev_candidate_losses: Optional[dict[int, float]] = None
 
 
-def group_distance(encoder: Encoder, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of one-hot groups whose argmax differs between x and y."""
-    return float(_group_distance_batch(encoder, np.atleast_2d(x), np.atleast_2d(y))[0])
-
-
 def _group_distance_batch(encoder: Encoder, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per row, the fraction of one-hot groups whose argmax differs between X and Y."""
     mismatch = (encoder.group_argmax(X) != encoder.group_argmax(Y)).sum(axis=1)
     return mismatch / encoder.n_groups
 
@@ -147,71 +139,22 @@ DISTANCES = ("group-mismatch", "cross-entropy")
 DEFAULT_DISTANCE = "cross-entropy"
 
 
-def wav_score_pool(
-    wm: WorldModel,
-    idm: InverseModel,
-    candidate: UnlabeledTransition,
-    round: int = 0,
-    strategy: str = "wav-sparse",
-    distance: str = DEFAULT_DISTANCE,
-) -> AcquisitionScore:
-    """Reverse-cycle score with the candidate's observed successor as subgoal.
+def _wav_scores(
+    wm: WorldModel, idm: InverseModel, S: np.ndarray, G: np.ndarray, distance: str
+) -> np.ndarray:
+    """Reverse-cycle scores for states ``S`` and subgoals ``G``.
 
     ``distance`` picks the discrepancy: the fraction of disagreeing one-hot
     groups (bounded, equal-weighted) or the mean per-group cross-entropy of
     the subgoal under the predicted distributions.
     """
-    scores, _ = _wav_scores(wm, idm, *_candidate_matrices([candidate]), distance)
-    return AcquisitionScore(
-        candidate_id=candidate.tid, strategy=strategy, score=float(scores[0]), round=round
-    )
-
-
-def _subgoal_distance(
-    wm: WorldModel, probs: np.ndarray, subgoals: np.ndarray, distance: str
-) -> np.ndarray:
-    if distance == "group-mismatch":
-        predicted = wm.argmax_features(probs)
-        return _group_distance_batch(wm.encoder, subgoals, predicted)
-    if distance == "cross-entropy":
-        return _per_item_ce(probs, subgoals, wm.encoder.n_groups)
-    raise ConfigError(f"unknown distance {distance!r}; known: {DISTANCES}")
-
-
-def _wav_scores(
-    wm: WorldModel, idm: InverseModel, S: np.ndarray, G: np.ndarray, distance: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-cycle scores and inferred actions for states ``S`` and subgoals ``G``."""
     actions, _ = idm.infer_batch(S, G)
     probs = wm.predict_proba(S, actions)
-    return _subgoal_distance(wm, probs, G, distance), actions
-
-
-def wav_score_env(
-    wm: WorldModel,
-    idm: InverseModel,
-    gen: SubgoalGenerator,
-    s_features: np.ndarray,
-    K: int,
-    rng: np.random.Generator,
-    round: int = 0,
-    strategy: str = "wav-sparse",
-    distance: str = DEFAULT_DISTANCE,
-) -> tuple[AcquisitionScore, Action]:
-    """Reverse-cycle score over K sampled subgoals; returns the most surprising.
-
-    Ties between subgoals break to the lowest index.
-    """
-    if K < 1:
-        raise ConfigError("K must be >= 1")
-    subgoals = sample_subgoals(gen, s_features, K, rng)
-    S = np.tile(np.asarray(s_features), (K, 1))
-    scores, actions = _wav_scores(wm, idm, S, np.stack(subgoals), distance)
-    best = int(np.argmax(scores))
-    score = AcquisitionScore(
-        candidate_id=-1, strategy=strategy, score=float(scores[best]), round=round
-    )
-    return score, Action(int(actions[best]))
+    if distance == "group-mismatch":
+        return _group_distance_batch(wm.encoder, G, wm.argmax_features(probs))
+    if distance == "cross-entropy":
+        return _per_item_ce(probs, G, wm.encoder.n_groups)
+    raise ConfigError(f"unknown distance {distance!r}; known: {DISTANCES}")
 
 
 def _candidate_matrices(candidates: Sequence[UnlabeledTransition]):
@@ -287,7 +230,7 @@ def score_candidates(
         idm = models.idm_sparse if strategy == "wav-sparse" else models.idm_vanilla
         if idm is None:
             raise ConfigError(f"{strategy} scoring needs its inverse model")
-        return _wav_scores(models.world, idm, S, S2, distance)[0]
+        return _wav_scores(models.world, idm, S, S2, distance)
     if strategy == "uncertainty":
         if models.ensemble is None or models.idm_vanilla is None:
             raise ConfigError("uncertainty scoring needs an ensemble and a vanilla idm")
@@ -348,6 +291,10 @@ class ExplorationConfig:
     distance: str = DEFAULT_DISTANCE
     wm_hyper: TrainConfig = field(default_factory=lambda: DEFAULT_WM_HYPER)
     idm_hyper: TrainConfig = field(default_factory=lambda: DEFAULT_IDM_HYPER)
+
+    def __post_init__(self):
+        if self.distance not in DISTANCES:
+            raise ConfigError(f"unknown distance {self.distance!r}; known: {DISTANCES}")
 
 
 def train_models(

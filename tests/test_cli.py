@@ -9,6 +9,7 @@ import pytest
 
 from wavlab import cli, verify
 from wavlab.datasets import load
+from wavlab.errors import ConfigError
 
 
 def run_cli(args):
@@ -90,6 +91,35 @@ class TestConfigValidation:
         assert run_cli([command, "--config", bad, "--out", out]) == 2
         assert f"{command}.{section}.{key}: must be" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "models", ["subgoal"]),
+        ("train", "models", ["world", "bogus"]),
+        ("explore", "strategies", ["random", "bogus"]),
+        ("rank-corr", "strategies", ["bogus"]),
+        ("explore", "checkpoints", "sometimes"),
+        ("explore", "distance", "bogus"),
+        ("rank-corr", "distance", "bogus"),
+        ("gen-data", "source", "video"),
+        ("tlcm-demo", "variants", ["base", "bogus"]),
+    ], ids=["train-models-subgoal", "train-models-bogus", "explore-strategies",
+            "rank-corr-strategies", "explore-checkpoints", "explore-distance",
+            "rank-corr-distance", "gen-data-source", "tlcm-demo-variants"])
+    def test_unknown_choice_rejected_before_run_dir(self, tmp_path, capsys, dataset,
+                                                    command, key, value):
+        config = {key: value}
+        if command in ("train", "explore", "rank-corr"):
+            config["dataset"] = str(dataset)
+        if command == "explore":
+            config.setdefault("strategies", ["random"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert run_cli([command, "--config", bad, "--out", out]) == 2
+        assert f"{command}.{key}: unknown value" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match=f"{key}: unknown value"):
+            cli._COMMAND_CONFIGS[command](**{key: value})
 
     def test_removed_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -237,7 +267,7 @@ class TestTrain:
         config = tmp_path / "t.json"
         config.write_text(json.dumps({
             "dataset": str(dataset),
-            "models": ["world", "idm-sparse", "subgoal"],
+            "models": ["world", "idm-sparse"],
             "wm": {"epochs": 4, "batch_size": 32},
             "idm": {"epochs": 10},
         }))
@@ -245,7 +275,7 @@ class TestTrain:
         assert run_cli(["train", "--config", config, "--seed", 3, "--out", out]) == 0
         run_dir = only_run_dir(out)
         names = sorted(p.name for p in (run_dir / "models").iterdir())
-        assert names == ["idm-sparse.json", "subgoal.json", "world.json"]
+        assert names == ["idm-sparse.json", "world.json"]
         metrics = json.loads((run_dir / "train_metrics.json").read_text())
         assert "test_pred_loss" in metrics["world"]
         from wavlab.models import load_model

@@ -7,25 +7,17 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
 
-from wavlab.datasets import EnvConfig, _to_unlabeled, collect_random_play, collect_task_play
+from wavlab.datasets import EnvConfig, collect_random_play, collect_task_play
 from wavlab.errors import ConfigError, ParseError, UnsupportedVersionError
-from wavlab.gridworld import Action, Encoder, generate_layout, step, validate_state
+from wavlab.gridworld import Action, Encoder, generate_layout, step
 from wavlab.models import (
-    DeltaKind,
+    Ensemble,
     TrainConfig,
     action_accuracy,
-    apply_delta,
-    classify_delta,
-    disagreement,
     disagreement_batch,
-    fit_subgoal_generator,
-    infer_action,
     load_model,
     persistence_world_model,
-    predict_next,
-    sample_subgoals,
     save_model,
     train_ensemble,
     train_idm,
@@ -38,7 +30,7 @@ from wavlab.models import (
     _softmax_runs,
     _wm_loss_and_grad,
 )
-from wavlab.metrics import dynamics_accuracy, prediction_loss
+from wavlab.metrics import dynamics_accuracy
 
 
 TINY = EnvConfig(width=4, height=4, n_objects=2, n_noisy_floors=0, horizon=20)
@@ -69,8 +61,8 @@ class TestWorldModelTraining:
             rng=np.random.default_rng(1),
         )
         assert wm.loss_curve[-1] < 0.02
-        pred, _ = predict_next(wm, item[0].features, item[0].action)
-        assert np.array_equal(pred, item[0].next_features)
+        pred = wm.argmax_features(wm.predict_proba(item[0].features, [int(item[0].action)]))
+        assert np.array_equal(pred[0], item[0].next_features)
 
     def test_beats_persistence_baseline(self, small_encoder):
         # Persistence is the stated oracle: by construction it scores zero
@@ -112,21 +104,22 @@ class TestPredictNext:
         wm = WorldModel(encoder=small_encoder, weights=np.zeros((8, d + 1, d)),
                         hyper=TrainConfig(epochs=0))
         s = generate_layout(6, 6, 4, 0, np.random.default_rng(4))
-        _, dists = predict_next(wm, small_encoder.encode(s), Action.FORWARD)
-        for dist in dists:
+        probs = wm.predict_proba(small_encoder.encode(s), [int(Action.FORWARD)])[0]
+        for g in small_encoder.groups:
+            dist = probs[g.start:g.stop]
             assert np.allclose(dist, dist[0])
 
-    def test_distributions_sum_to_one(self, trained_wm, small_split):
+    def test_distributions_sum_to_one(self, trained_wm, small_split, small_encoder):
         t = small_split.test[0]
-        _, dists = predict_next(trained_wm, t.features, t.action)
-        for dist in dists:
-            assert abs(dist.sum() - 1.0) < 1e-9
+        probs = trained_wm.predict_proba(t.features, [int(t.action)])[0]
+        for g in small_encoder.groups:
+            assert abs(probs[g.start:g.stop].sum() - 1.0) < 1e-9
 
     def test_prediction_is_valid_one_hot(self, trained_wm, small_split, small_encoder):
         t = small_split.test[1]
-        pred, _ = predict_next(trained_wm, t.features, t.action)
+        pred = trained_wm.argmax_features(trained_wm.predict_proba(t.features, [int(t.action)]))
         for g in small_encoder.groups:
-            assert pred[g.start:g.stop].sum() == 1.0
+            assert pred[0, g.start:g.stop].sum() == 1.0
 
 
 class TestGradients:
@@ -379,8 +372,8 @@ class TestInverseModel:
 
     def test_distribution_sums_to_one(self, trained_idm, small_split):
         t = small_split.test[0]
-        _, dist = infer_action(trained_idm, t.features, t.next_features)
-        assert abs(dist.sum() - 1.0) < 1e-9
+        _, probs = trained_idm.infer_batch(t.features, t.next_features)
+        assert abs(probs[0].sum() - 1.0) < 1e-9
 
     def test_turn_inference_confident(self, small_encoder):
         env = EnvConfig(width=6, height=6, n_objects=4, n_noisy_floors=0)
@@ -388,12 +381,10 @@ class TestInverseModel:
         idm = train_idm(data, 0.0, TrainConfig(learning_rate=0.03, batch_size=16, epochs=120),
                         np.random.default_rng(10), encoder=small_encoder)
         turns = [t for t in data if t.action is Action.TURN_LEFT][:50]
-        probs = []
-        for t in turns:
-            action, dist = infer_action(idm, t.features, t.next_features)
-            assert action is Action.TURN_LEFT
-            probs.append(dist[int(Action.TURN_LEFT)])
-        assert np.mean(probs) >= 0.9
+        actions, probs = idm.infer_batch(np.stack([t.features for t in turns]),
+                                         np.stack([t.next_features for t in turns]))
+        assert np.all(actions == int(Action.TURN_LEFT))
+        assert np.mean(probs[:, int(Action.TURN_LEFT)]) >= 0.9
 
     def test_tie_break_is_lexicographic(self, small_encoder):
         from wavlab.models import InverseModel
@@ -405,9 +396,9 @@ class TestInverseModel:
         )
         s = generate_layout(6, 6, 4, 0, np.random.default_rng(11))
         feats = small_encoder.encode(s)
-        action, dist = infer_action(idm, feats, feats)
-        assert action is Action.TURN_LEFT  # index 0 wins exact ties
-        assert np.allclose(dist, 1 / 7)
+        actions, probs = idm.infer_batch(feats, feats)
+        assert actions[0] == int(Action.TURN_LEFT)  # index 0 wins exact ties
+        assert np.allclose(probs[0], 1 / 7)
 
     def test_mask_bounded_in_open_interval(self, small_split, small_encoder):
         idm = train_idm(small_split.seed_labeled, 0.1,
@@ -462,16 +453,16 @@ class TestEnsemble:
         hyper = TrainConfig(epochs=2)
         wm = train_world_model(small_split.seed_labeled, small_encoder, hyper,
                                np.random.default_rng(18))
-        from wavlab.models import Ensemble
         ens = Ensemble(members=[wm, wm])
         t = small_split.test[0]
-        assert disagreement(ens, t.features, t.action) == 0.0
+        assert disagreement_batch(ens, t.features[None], [int(t.action)])[0] == 0.0
 
     def test_disagreement_nonnegative(self, small_split, small_encoder):
         ens = train_ensemble(small_split.seed_labeled, small_encoder, 3,
                              TrainConfig(epochs=3), np.random.default_rng(19))
-        for t in small_split.test[:10]:
-            assert disagreement(ens, t.features, t.action) >= 0.0
+        test = small_split.test[:10]
+        S = np.stack([t.features for t in test])
+        assert np.all(disagreement_batch(ens, S, [int(t.action) for t in test]) >= 0.0)
 
     def test_batch_equals_per_group_loop(self, small_split, small_encoder):
         ens = train_ensemble(small_split.seed_labeled, small_encoder, 3,
@@ -499,117 +490,11 @@ class TestEnsemble:
         ens = train_ensemble(train, small_encoder, 3,
                              TrainConfig(learning_rate=0.3, batch_size=32, epochs=15),
                              np.random.default_rng(22))
-        d_train = [disagreement(ens, t.features, t.action) for t in train[:80]]
-        d_oos = [disagreement(ens, t.features, t.action) for t in oos_part[:80]]
-        assert np.median(d_oos) > np.median(d_train)
+        def disagreements(items):
+            S = np.stack([t.features for t in items])
+            return disagreement_batch(ens, S, [int(t.action) for t in items])
 
-
-class TestSubgoalGenerator:
-    def test_turn_only_video_yields_rotations(self, small_encoder):
-        rng = np.random.default_rng(23)
-        env = EnvConfig(width=6, height=6, n_objects=4, n_noisy_floors=0)
-        video = [_to_unlabeled(t) for t in turn_only_data(300, rng,
-                 EnvConfig(width=6, height=6, n_objects=4, n_noisy_floors=0))]
-        gen = fit_subgoal_generator(video, encoder=small_encoder)
-        state = video[0].state
-        feats = small_encoder.encode(state)
-        for vec in sample_subgoals(gen, feats, 8, np.random.default_rng(24)):
-            nxt = small_encoder.decode(vec)
-            assert nxt.agent.pos == state.agent.pos
-            assert nxt.cells == state.cells
-            assert nxt.agent.dir != state.agent.dir
-
-    def test_samples_decode_to_valid_states(self, small_split, small_encoder):
-        gen = fit_subgoal_generator(small_split.video, encoder=small_encoder)
-        rng = np.random.default_rng(25)
-        for u in small_split.pool.items[:20]:
-            for vec in sample_subgoals(gen, u.features, 4, rng):
-                validate_state(small_encoder.decode(vec))
-
-    def test_unseen_context_backs_off_to_global(self, small_encoder):
-        rng = np.random.default_rng(26)
-        data = turn_only_data(100, rng)
-        gen = fit_subgoal_generator([_to_unlabeled(t) for t in data],
-                                    encoder=TINY.encoder())
-        # A context key never stored: carrying an object changes nothing for
-        # turn deltas, which stay applicable through the global backoff.
-        state = data[0].state
-        carrying = dataclasses.replace(
-            state, agent=dataclasses.replace(state.agent, dir=(state.agent.dir + 2) % 4)
-        )
-        feats = TINY.encoder().encode(carrying)
-        out = sample_subgoals(gen, feats, 3, np.random.default_rng(27))
-        assert len(out) == 3
-
-    def test_single_delta_store_is_deterministic(self, small_encoder):
-        rng = np.random.default_rng(28)
-        env = EnvConfig(width=6, height=6, n_objects=3, n_noisy_floors=0)
-        base = collect_random_play(env, 1, rng)[0]
-        s = base.state
-        advanced = step(s, Action.FORWARD)
-        if advanced == s:  # facing a wall or object; rotate first
-            s = step(s, Action.TURN_LEFT)
-            advanced = step(s, Action.FORWARD)
-        from wavlab.datasets import LabeledTransition
-        enc = env.encoder()
-        item = LabeledTransition(
-            tid=0, state=s, action=Action.FORWARD, next_state=advanced,
-            features=enc.encode(s), next_features=enc.encode(advanced))
-        gen = fit_subgoal_generator([_to_unlabeled(item)], encoder=enc)
-        got = sample_subgoals(gen, enc.encode(s), 1, np.random.default_rng(29))
-        assert np.array_equal(got[0], enc.encode(advanced))
-
-    def test_sample_frequencies_match_store(self):
-        # Chi-squared at 1% over 10^4 single draws against the stored
-        # multiset frequencies.
-        enc = TINY.encoder()
-        rng = np.random.default_rng(30)
-        state = generate_layout(4, 4, 0, 0, rng)
-        from wavlab.models import SubgoalGenerator
-        counts = {DeltaKind.ADVANCE: 5, DeltaKind.TURN_LEFT: 3, DeltaKind.TURN_RIGHT: 2}
-        from wavlab.models import _context_key
-        gen = SubgoalGenerator(encoder=enc, smoothing=0.0,
-                               by_key={_context_key(state): counts},
-                               global_counts=dict(counts))
-        feats = enc.encode(state)
-        draw_rng = np.random.default_rng(31)
-        tally = {k: 0 for k in counts}
-        n = 10_000
-        applicable = [k for k in counts if k is not DeltaKind.ADVANCE or
-                      state.in_interior((state.agent.pos[0] + 1, state.agent.pos[1]))]
-        for _ in range(n):
-            vec = sample_subgoals(gen, feats, 1, draw_rng)[0]
-            nxt = enc.decode(vec)
-            got = classify_delta(state, nxt)
-            tally[got] += 1
-        total_weight = sum(counts[k] for k in applicable)
-        chi2 = sum(
-            (tally[k] - n * counts[k] / total_weight) ** 2 / (n * counts[k] / total_weight)
-            for k in applicable
-        )
-        assert chi2 < stats.chi2.ppf(0.99, df=len(applicable) - 1)
-
-
-class TestDeltaClassification:
-    def test_round_trip_on_environment_steps(self):
-        rng = np.random.default_rng(32)
-        seen = set()
-        for _ in range(300):
-            s = generate_layout(6, 6, 5, 0, rng)
-            a = Action(int(rng.integers(7)))
-            s2 = step(s, a)
-            kind = classify_delta(s, s2)
-            assert kind is not None
-            seen.add(kind)
-            if kind is not DeltaKind.STAY:
-                replayed = apply_delta(kind, s, None)
-                assert replayed == s2
-        assert DeltaKind.STAY in seen
-
-    def test_inapplicable_delta_rejected(self):
-        s = generate_layout(6, 6, 0, 0, np.random.default_rng(33))
-        with pytest.raises(ValueError):
-            apply_delta(DeltaKind.TAKE_FRONT, s, None)
+        assert np.median(disagreements(oos_part[:80])) > np.median(disagreements(train[:80]))
 
 
 class TestCheckpoints:
@@ -631,18 +516,10 @@ class TestCheckpoints:
         save_model(idm, path)
         loaded = load_model(path)
         t = small_split.test[0]
-        _, da = infer_action(idm, t.features, t.next_features)
-        _, db = infer_action(loaded, t.features, t.next_features)
+        _, da = idm.infer_batch(t.features, t.next_features)
+        _, db = loaded.infer_batch(t.features, t.next_features)
         assert np.array_equal(da, db)
         assert np.array_equal(loaded.gate_logits, idm.gate_logits)
-
-    def test_subgoal_generator_round_trip(self, small_split, small_encoder, tmp_path):
-        gen = fit_subgoal_generator(small_split.video, encoder=small_encoder)
-        path = tmp_path / "gen.json"
-        save_model(gen, path)
-        loaded = load_model(path)
-        assert loaded.by_key == gen.by_key
-        assert loaded.global_counts == gen.global_counts
 
     def test_ensemble_round_trip(self, small_split, small_encoder, tmp_path):
         ens = train_ensemble(small_split.seed_labeled, small_encoder, 2,
@@ -651,8 +528,8 @@ class TestCheckpoints:
         save_model(ens, path)
         loaded = load_model(path)
         t = small_split.test[0]
-        assert disagreement(loaded, t.features, t.action) == pytest.approx(
-            disagreement(ens, t.features, t.action), abs=0)
+        assert disagreement_batch(loaded, t.features[None], [int(t.action)]) == pytest.approx(
+            disagreement_batch(ens, t.features[None], [int(t.action)]), abs=0)
 
     # Every field differs from its TrainConfig default.
     ODD_HYPER = TrainConfig(learning_rate=0.05, batch_size=8, epochs=3, init_scale=0.02,
@@ -716,12 +593,13 @@ class TestCheckpoints:
         (lambda o: o["hyper"].update(init_scale=-1.0), "hyper.init_scale"),
         (lambda o: o["hyper"].update(gate_warmup_frac=2.0), "hyper.gate_warmup_frac"),
         (lambda o: o["hyper"].update(gate_lr=0.0), "hyper.gate_lr"),
+        (lambda o: o.update(kind="subgoal"), "subgoal"),
     ], ids=["no-loss-curve", "no-weights", "bad-base64", "short-payload",
             "shape-off-encoder", "shape-not-a-list", "unknown-hyper", "missing-hyper",
             "bad-env", "loss-curve-type", "hyper-str-float", "hyper-list-int",
             "hyper-float-int", "hyper-bool-int", "hyper-bool-float", "hyper-str-optional",
             "batch-size-0", "epochs-negative", "lr-negative", "init-scale-negative",
-            "warmup-above-1", "gate-lr-0"])
+            "warmup-above-1", "gate-lr-0", "subgoal-kind"])
     def test_malformed_world_model_raises_parse_error(self, trained_wm, tmp_path,
                                                       mutate, key):
         path = tmp_path / "wm.json"
@@ -732,29 +610,38 @@ class TestCheckpoints:
         with pytest.raises(ParseError, match=f"'{key}'"):
             load_model(path)
 
-    @pytest.mark.parametrize("entry", [
-        [["a", "b"], "stay", 2],  # context key of strings
-        [[0, 1], "stay", 2.5],  # fractional count
-        [[0, 1], "stay", True],  # boolean count
-    ], ids=["str-key", "float-count", "bool-count"])
-    def test_malformed_subgoal_store_raises_parse_error(self, small_split, small_encoder,
-                                                         tmp_path, entry):
-        path = tmp_path / "gen.json"
-        save_model(fit_subgoal_generator(small_split.video, encoder=small_encoder), path)
+    @staticmethod
+    def _payload(model, tmp_path):
+        path = tmp_path / "member.json"
+        save_model(model, path)
         obj = json.loads(path.read_text())
-        obj["store"][0] = entry
-        path.write_text(json.dumps(obj))
-        with pytest.raises(ParseError, match="'store'"):
-            load_model(path)
+        del obj["schema"]
+        return obj
 
+    @pytest.mark.parametrize("member, key", [
+        ("idm", "kind"), ("ensemble", "kind"), ("other-env", "env"),
+    ])
+    def test_malformed_ensemble_member_raises_parse_error(self, trained_wm, trained_idm,
+                                                          tmp_path, member, key):
+        ens = Ensemble(members=[trained_wm, trained_wm])
+        model = {
+            "idm": trained_idm,
+            "ensemble": ens,
+            "other-env": persistence_world_model(Encoder(4, 4, 4)),
+        }[member]
+        path = tmp_path / "ens.json"
+        save_model(ens, path)
+        obj = json.loads(path.read_text())
+        obj["members"][1] = self._payload(model, tmp_path)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=rf"'members\[1\]\.{key}'"):
+            load_model(path)
 
 _CHECKPOINT_KINDS = {
     "world": lambda data, enc, hyper, rng: train_world_model(data, enc, hyper, rng),
     "idm-vanilla": lambda data, enc, hyper, rng: train_idm(data, 0.0, hyper, rng, encoder=enc),
     "idm-sparse": lambda data, enc, hyper, rng: train_idm(data, 0.1, hyper, rng, encoder=enc),
     "ensemble": lambda data, enc, hyper, rng: train_ensemble(data, enc, 2, hyper, rng),
-    "subgoal": lambda data, enc, hyper, rng: fit_subgoal_generator(
-        [_to_unlabeled(t) for t in data], encoder=enc),
 }
 
 

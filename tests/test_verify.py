@@ -17,25 +17,19 @@ from wavlab.errors import ConfigError, PoolExhaustedError
 from wavlab.gridworld import Action, generate_layout, step
 from wavlab.metrics import spearman
 from wavlab.models import (
-    DeltaKind,
-    SubgoalGenerator,
     TrainConfig,
     persistence_world_model,
     train_ensemble,
     train_idm,
     train_world_model,
-    _context_key,
 )
 from wavlab.verify import (
     ExplorationConfig,
     ModelSet,
     baseline_scores,
-    group_distance,
     run_exploration,
     score_candidates,
     select_top,
-    wav_score_env,
-    wav_score_pool,
 )
 
 
@@ -75,83 +69,31 @@ class TestWavScorePool:
         # A pool candidate whose successor the world model reproduces under
         # the inferred action gets a zero score; engineer it with the
         # persistence model on a floor-free no-op transition.
-        pers = persistence_world_model(small_encoder)
+        pers = ModelSet(world=persistence_world_model(small_encoder),
+                        idm_vanilla=models.idm_vanilla)
         for u in small_split.pool.items:
             if u.state == u.next_state:
-                got = wav_score_pool(pers, models.idm_vanilla, u, distance="group-mismatch")
-                assert got.score == 0.0
+                got = score_candidates("wav-vanilla", pers, [u], distance="group-mismatch")
+                assert got[0] == 0.0
                 return
         pytest.skip("no no-op candidate in the pool")
 
     def test_persistence_score_counts_changed_groups(self, small_split, small_encoder, models):
-        pers = persistence_world_model(small_encoder)
+        pers = ModelSet(world=persistence_world_model(small_encoder),
+                        idm_vanilla=models.idm_vanilla)
         for u in small_split.pool.items:
             changed = int((small_encoder.group_argmax(u.features)
                            != small_encoder.group_argmax(u.next_features)).sum())
             if changed == 1:
-                got = wav_score_pool(pers, models.idm_vanilla, u, distance="group-mismatch")
-                assert got.score == pytest.approx(1 / small_encoder.n_groups)
+                got = score_candidates("wav-vanilla", pers, [u], distance="group-mismatch")
+                assert got[0] == pytest.approx(1 / small_encoder.n_groups)
                 return
         pytest.skip("no single-group candidate found")
 
     def test_scores_bounded(self, small_split, models):
-        for u in small_split.pool.items[:40]:
-            s = wav_score_pool(models.world, models.idm_sparse, u, distance="group-mismatch")
-            assert 0.0 <= s.score <= 1.0
-
-
-class TestWavScoreEnv:
-    def _pinned_generator(self, encoder, state, kind):
-        return SubgoalGenerator(
-            encoder=encoder, smoothing=0.0,
-            by_key={_context_key(state): {kind: 1}},
-            global_counts={kind: 1},
-        )
-
-    def test_k1_with_pinned_generator_reduces_to_pool_score(
-        self, small_split, models, small_encoder
-    ):
-        # Pin the generator to the candidate's own successor delta.
-        from wavlab.models import classify_delta
-        for u in small_split.pool.items:
-            kind = classify_delta(u.state, u.next_state)
-            if kind is None or kind is DeltaKind.STAY:
-                continue
-            gen = self._pinned_generator(small_encoder, u.state, kind)
-            env_score, _ = wav_score_env(
-                models.world, models.idm_sparse, gen, u.features, 1,
-                np.random.default_rng(0),
-            )
-            pool_score = wav_score_pool(models.world, models.idm_sparse, u)
-            assert env_score.score == pytest.approx(pool_score.score)
-            return
-        pytest.fail("no classifiable candidate")
-
-    def test_identical_subgoals_equal_scores_and_argmax(self, small_split, models,
-                                                        small_encoder):
-        u = small_split.pool.items[0]
-        from wavlab.models import classify_delta, sample_subgoals
-        gen = self._pinned_generator(small_encoder, u.state, DeltaKind.TURN_LEFT)
-        subgoals = sample_subgoals(gen, u.features, 5, np.random.default_rng(1))
-        assert all(np.array_equal(subgoals[0], v) for v in subgoals)
-        score, action = wav_score_env(
-            models.world, models.idm_sparse, gen, u.features, 5,
-            np.random.default_rng(2),
-        )
-        single, single_action = wav_score_env(
-            models.world, models.idm_sparse, gen, u.features, 1,
-            np.random.default_rng(3),
-        )
-        assert score.score == pytest.approx(single.score)
-        assert action == single_action
-
-    def test_k_must_be_positive(self, small_split, models, small_encoder):
-        gen = self._pinned_generator(small_encoder, small_split.pool.items[0].state,
-                                     DeltaKind.TURN_LEFT)
-        with pytest.raises(ConfigError):
-            wav_score_env(models.world, models.idm_sparse, gen,
-                          small_split.pool.items[0].features, 0,
-                          np.random.default_rng(4))
+        scores = score_candidates("wav-sparse", models, small_split.pool.items[:40],
+                                  distance="group-mismatch")
+        assert np.all((0.0 <= scores) & (scores <= 1.0))
 
 
 class TestBaselineScores:
@@ -230,10 +172,10 @@ class TestLabelHygiene:
                 assert [s.score for s in a] == [s.score for s in b], strategy
         finally:
             models.prev_candidate_losses = None
-        for idm in (models.idm_vanilla, models.idm_sparse):
-            a = [wav_score_pool(models.world, idm, c).score for c in candidates]
-            b = [wav_score_pool(models.world, idm, c).score for c in twisted]
-            assert a == b
+        for strategy in ("wav-vanilla", "wav-sparse"):
+            a = score_candidates(strategy, models, candidates)
+            b = score_candidates(strategy, models, twisted)
+            assert np.array_equal(a, b)
 
     def test_oracle_depends_on_labels(self, models, small_split):
         candidates = small_split.pool.items[:40]
@@ -259,6 +201,10 @@ class TestSelectTop:
 
 
 class TestRunExploration:
+    def test_unknown_distance_rejected(self):
+        with pytest.raises(ConfigError, match="'bogus'"):
+            dataclasses.replace(FAST, distance="bogus")
+
     def test_budget_zero_keeps_loss_constant(self, small_split):
         split = small_split.fresh_copy()
         config = dataclasses.replace(FAST, budget=0, rounds=3)
