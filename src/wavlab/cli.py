@@ -484,10 +484,9 @@ def _worker_cell(cell):
 def cmd_explore(config: ExploreConfig, seed: int, run: RunDir, jobs: int = 1) -> int:
     if not config.dataset:
         raise ConfigError("explore needs a 'dataset' path in the config")
-    if not Path(config.dataset).exists():
-        raise ConfigError(f"dataset file not found: {config.dataset}")
 
-    # Loading here also reports a malformed split before any worker starts.
+    # Loading here also reports a missing or malformed split before any worker
+    # starts.
     split = datasets.load(config.dataset)
     exploration = _exploration_config(config, rounds=config.rounds, budget=config.budget)
     model_dir = run.path / "models"
@@ -784,6 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    run = None
     try:
         config = _load_config(args.command, args.config)
         run = RunDir(args.command, config, args.seed, args.out, args.force)
@@ -803,6 +803,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"[{args.command}] run {run.run_id} complete (exit {code})")
         return code
     except WavlabError as err:
+        if run is not None:
+            # A run that ends in an error has no manifest: drop its partial
+            # directory.
+            shutil.rmtree(run.path)
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -605,8 +605,11 @@ def _parse_record(obj: dict, enc: Encoder, line: int):
 
 def load(path) -> ExperimentSplit:
     """Read a split written by :func:`save`; no partial results on error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as err:
+        raise ConfigError(f"cannot open dataset file {path}: {err.strerror}") from err
     if not lines:
         raise ParseError("empty file", line=1)
     try:

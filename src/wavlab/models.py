@@ -549,6 +549,7 @@ def train_ensemble(
 
 def disagreement_batch(ens: Ensemble, feats: np.ndarray, actions) -> np.ndarray:
     """Per item, the mean over groups of the across-member prediction variance."""
+    feats = np.atleast_2d(feats)
     stacked = np.stack([m.predict_proba(feats, actions) for m in ens.members])
     var = stacked.var(axis=0)
     n = feats.shape[0]

@@ -137,8 +137,17 @@ def ols_fit(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     Returns W of shape (D, q) with Y ~ X @ W. Stacks fit slice by slice:
     X (..., n, D) and Y (..., n, q) give W (..., D, q). No silent
-    pseudo-inverse: n < D, or a condition number above 1e8 in any slice,
-    raises RankDeficientError naming the first such slice's value.
+    pseudo-inverse: n < D, or a condition number ``np.linalg.cond(G)`` of
+    the Gram matrix G = X^T X above 1e8 in any slice, raises
+    RankDeficientError naming the first such slice's value.
+
+    The condition check certifies before it measures: one inverse of the
+    stack gives ||G||_F ||G^-1||_F, which is never below cond_2(G). When every
+    slice's bound is at most half the limit, no slice can be refused and W is
+    solved at once. Otherwise (including a singular slice or a NaN bound) the
+    SVD-based ``np.linalg.cond`` decides, so the refused designs are exactly
+    those whose ``np.linalg.cond`` exceeds 1e8. W is the same
+    ``np.linalg.solve`` either way.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -147,6 +156,14 @@ def ols_fit(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise RankDeficientError(f"{n} samples cannot determine {D} coefficients")
     Xt = np.swapaxes(X, -1, -2)
     G = Xt @ X
+    try:
+        Gi = np.linalg.inv(G)
+        bound = np.linalg.norm(G, axis=(-2, -1)) * np.linalg.norm(Gi, axis=(-2, -1))
+    except np.linalg.LinAlgError:  # an exactly singular slice
+        bound = np.inf
+    # Half the limit leaves room for inv's relative rounding error, cond * eps <= 2e-8.
+    if np.all(bound <= MAX_CONDITION / 2):  # NaN compares False: not certified
+        return np.linalg.solve(G, Xt @ Y)
     cond = np.ravel(np.linalg.cond(G))
     bad = np.flatnonzero(~(cond <= MAX_CONDITION))  # NaN compares False: bad too
     if len(bad):

@@ -121,6 +121,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{key}: unknown value"):
             cli._COMMAND_CONFIGS[command](**{key: value})
 
+    @pytest.mark.parametrize("command", ["train", "explore", "rank-corr"])
+    def test_missing_dataset_leaves_no_run_dir(self, tmp_path, capsys, command):
+        missing = tmp_path / "nowhere.wavsplit"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"dataset": str(missing)}))
+        out = tmp_path / "o"
+        assert run_cli([command, "--config", config, "--out", out]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_malformed_dataset_leaves_no_run_dir(self, tmp_path, capsys):
+        split = tmp_path / "bad.wavsplit"
+        split.write_text("{not json\n")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"dataset": str(split)}))
+        out = tmp_path / "o"
+        assert run_cli(["train", "--config", config, "--out", out]) == 2
+        assert "line 1: bad header" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_removed_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"subgoal_candidates": 4}')
@@ -164,8 +184,7 @@ class TestGenData:
         }))
         out = tmp_path / "o"
         assert run_cli(["gen-data", "--config", config, "--out", out]) == 2
-        run_dir = only_run_dir(out)
-        assert not (run_dir / "split.wavsplit").exists()
+        assert list(out.iterdir()) == []
 
     def test_split_loads_back(self, dataset):
         split = load(dataset)
@@ -226,11 +245,6 @@ class TestExplore:
             assert repr(prediction_loss(wm, test)) == loss
             save_model(wm, tmp_path / "again.json")
             assert (tmp_path / "again.json").read_bytes() == (run_dir / "models" / name).read_bytes()
-
-    def test_missing_dataset_is_an_error(self, tmp_path):
-        config = tmp_path / "e.json"
-        config.write_text(json.dumps(small_explore_config("nowhere.wavsplit")))
-        assert run_cli(["explore", "--config", config, "--out", tmp_path / "o"]) == 2
 
     def test_split_loaded_once_per_run(self, dataset, tmp_path, monkeypatch):
         loads = []

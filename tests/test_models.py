@@ -457,6 +457,13 @@ class TestEnsemble:
         t = small_split.test[0]
         assert disagreement_batch(ens, t.features[None], [int(t.action)])[0] == 0.0
 
+    def test_one_feature_row_equals_one_row_matrix(self, small_split, small_encoder):
+        ens = train_ensemble(small_split.seed_labeled, small_encoder, 2,
+                             TrainConfig(epochs=2), np.random.default_rng(19))
+        t = small_split.test[0]
+        assert np.array_equal(disagreement_batch(ens, t.features, [int(t.action)]),
+                              disagreement_batch(ens, t.features[None], [int(t.action)]))
+
     def test_disagreement_nonnegative(self, small_split, small_encoder):
         ens = train_ensemble(small_split.seed_labeled, small_encoder, 3,
                              TrainConfig(epochs=3), np.random.default_rng(19))

@@ -154,6 +154,70 @@ class TestOlsFit:
         with pytest.raises(RankDeficientError, match="cannot determine"):
             ols_fit(X[:, :2], rng.normal(size=(3, 2, 1)))
 
+    @staticmethod
+    def design_with_gram_condition(cond: float, seed: int) -> np.ndarray:
+        """A 30 x 2 design whose Gram matrix has condition number ``cond``."""
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.normal(size=(30, 2)))
+        V, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        return U * np.array([1.0, cond ** -0.5]) @ V.T
+
+    @staticmethod
+    def spy_on_cond(monkeypatch) -> list:
+        """From now on, record every ``np.linalg.cond`` call."""
+        calls = []
+        real_cond = np.linalg.cond
+        monkeypatch.setattr(theory.np.linalg, "cond",
+                            lambda G: calls.append(G) or real_cond(G))
+        return calls
+
+    def test_borderline_design_accepted_through_exact_check(self, monkeypatch):
+        X = self.design_with_gram_condition(8e7, seed=30)
+        G = X.T @ X
+        assert 5e7 < np.linalg.cond(G) < 1e8
+        y = np.random.default_rng(31).normal(size=(30, 1))
+        cond_calls = self.spy_on_cond(monkeypatch)
+        W = ols_fit(X, y)
+        assert len(cond_calls) == 1  # the certificate could not clear it
+        assert np.array_equal(W, np.linalg.solve(G, X.T @ y))
+
+    def test_design_above_limit_refused_with_svd_condition(self, monkeypatch):
+        X = self.design_with_gram_condition(1.5e8, seed=32)
+        cond = np.linalg.cond(X.T @ X)
+        assert 1.4e8 < cond < 1.6e8
+        cond_calls = self.spy_on_cond(monkeypatch)
+        with pytest.raises(RankDeficientError, match=re.escape(f"number {cond:.3e} ")):
+            ols_fit(X, np.ones((30, 1)))
+        assert len(cond_calls) == 1
+
+    def test_exactly_singular_slice_refused(self):
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(3, 20, 3))
+        X[2, :, 1] = 0.0
+        G = np.swapaxes(X, 1, 2) @ X
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(G)
+        cond = np.linalg.cond(G[2])
+        with pytest.raises(RankDeficientError, match=re.escape(f"number {cond:.3e} ")):
+            ols_fit(X, rng.normal(size=(3, 20, 1)))
+
+    def test_nan_slice_refused(self):
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(3, 20, 3))
+        X[1, 4, 0] = np.nan
+        # The NaN fails the certificate; np.linalg.cond then decides, and
+        # LAPACK's SVD may reject the NaN itself before the comparison does.
+        with pytest.raises((RankDeficientError, np.linalg.LinAlgError)):
+            ols_fit(X, rng.normal(size=(3, 20, 1)))
+
+    def test_monte_carlo_fits_never_need_the_svd(self, monkeypatch):
+        def no_svd(G):
+            raise AssertionError("np.linalg.cond called")
+
+        monkeypatch.setattr(theory.np.linalg, "cond", no_svd)
+        lemma_excess_risk(5, 30, 1.0, 500, np.random.default_rng(35))
+        measure_gap(spec_default(d_s=8), 40, 300, np.random.default_rng(36))
+
 
 class TestLemmaExcessRisk:
     def test_closed_form_at_5_30(self):
